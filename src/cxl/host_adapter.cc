@@ -1,9 +1,9 @@
 #include "src/cxl/host_adapter.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <string>
-#include <unordered_map>
 
 #include "src/common/check.h"
 
@@ -18,6 +18,50 @@ Nanos PipelinedLatency(Nanos first, Nanos per_line, uint64_t lines) {
   }
   return first + static_cast<Nanos>(lines - 1) * per_line;
 }
+
+// Bytes per CXL link touched by one access, without a heap allocation in
+// the common case of at most kInline links. ForEach visits links most
+// recently first-touched first. The per-link JitterCxl draws follow this
+// order, so changing it changes simulated latencies and the pinned soak
+// digests (bench/snapshots/soak_digests.json).
+class LinkTally {
+ public:
+  void Add(CxlLink* link, uint64_t bytes) {
+    for (size_t i = 0; i < n_; ++i) {
+      if (At(i).link == link) {
+        At(i).bytes += bytes;
+        return;
+      }
+    }
+    if (n_ < kInline) {
+      inline_[n_] = Entry{link, bytes};
+    } else {
+      spill_.push_back(Entry{link, bytes});
+    }
+    ++n_;
+  }
+
+  bool empty() const { return n_ == 0; }
+
+  template <typename Fn>
+  void ForEach(Fn&& fn) {
+    for (size_t i = n_; i-- > 0;) {
+      fn(At(i).link, At(i).bytes);
+    }
+  }
+
+ private:
+  static constexpr size_t kInline = 4;
+  struct Entry {
+    CxlLink* link;
+    uint64_t bytes;
+  };
+  Entry& At(size_t i) { return i < kInline ? inline_[i] : spill_[i - kInline]; }
+
+  std::array<Entry, kInline> inline_;
+  std::vector<Entry> spill_;
+  size_t n_ = 0;
+};
 }  // namespace
 
 HostAdapter::HostAdapter(HostId id, sim::EventLoop& loop, mem::AddressMap& map,
@@ -182,7 +226,7 @@ sim::Task<Status> HostAdapter::Load(uint64_t addr, std::span<std::byte> out) {
   uint64_t n_lines = CachelinesTouched(addr, out.size());
   uint64_t hits = 0;
   uint64_t misses = 0;
-  std::unordered_map<CxlLink*, uint64_t> miss_bytes;
+  LinkTally miss_bytes;
 
   for (uint64_t i = 0; i < n_lines; ++i) {
     uint64_t laddr = first_line + i * kCachelineSize;
@@ -210,7 +254,7 @@ sim::Task<Status> HostAdapter::Load(uint64_t addr, std::span<std::byte> out) {
       co_return p;
     }
     ++misses;
-    miss_bytes[link_or.value()] += kCachelineSize;
+    miss_bytes.Add(link_or.value(), kCachelineSize);
     std::array<std::byte, kCachelineSize> buf;
     map_.ReadBytes(laddr, buf);
     std::memcpy(out.data() + (lo - addr), buf.data() + (lo - laddr), hi - lo);
@@ -230,13 +274,13 @@ sim::Task<Status> HostAdapter::Load(uint64_t addr, std::span<std::byte> out) {
     // CPU pipelines them at per_line_pipelined.
     Nanos latency_done = now;
     Nanos serial_done = now;
-    for (auto& [link, bytes] : miss_bytes) {
+    miss_bytes.ForEach([&](CxlLink* link, uint64_t bytes) {
       uint64_t lines = bytes / kCachelineSize;
       latency_done = std::max(
           latency_done,
           now + PipelinedLatency(JitterCxl(t.cxl_read), t.per_line_pipelined, lines));
       serial_done = std::max(serial_done, link->from_device().Acquire(now, bytes));
-    }
+    });
     done = std::max({done, latency_done, serial_done + t.per_line_pipelined});
   }
   co_await sim::WaitUntil(loop_, done);
@@ -270,7 +314,7 @@ sim::Task<Status> HostAdapter::Store(uint64_t addr, std::span<const std::byte> i
   uint64_t n_lines = CachelinesTouched(addr, in.size());
   uint64_t hits = 0;
   uint64_t misses = 0;
-  std::unordered_map<CxlLink*, uint64_t> miss_bytes;
+  LinkTally miss_bytes;
 
   for (uint64_t i = 0; i < n_lines; ++i) {
     uint64_t laddr = first_line + i * kCachelineSize;
@@ -297,7 +341,7 @@ sim::Task<Status> HostAdapter::Store(uint64_t addr, std::span<const std::byte> i
       co_return p;
     }
     ++misses;
-    miss_bytes[link_or.value()] += kCachelineSize;
+    miss_bytes.Add(link_or.value(), kCachelineSize);
     std::array<std::byte, kCachelineSize> buf;
     map_.ReadBytes(laddr, buf);  // RFO fetch
     std::memcpy(buf.data() + (lo - laddr), in.data() + (lo - addr), hi - lo);
@@ -317,13 +361,13 @@ sim::Task<Status> HostAdapter::Store(uint64_t addr, std::span<const std::byte> i
     // CPU pipelines them at per_line_pipelined.
     Nanos latency_done = now;
     Nanos serial_done = now;
-    for (auto& [link, bytes] : miss_bytes) {
+    miss_bytes.ForEach([&](CxlLink* link, uint64_t bytes) {
       uint64_t lines = bytes / kCachelineSize;
       latency_done = std::max(
           latency_done,
           now + PipelinedLatency(JitterCxl(t.cxl_read), t.per_line_pipelined, lines));
       serial_done = std::max(serial_done, link->from_device().Acquire(now, bytes));
-    }
+    });
     done = std::max({done, latency_done, serial_done + t.per_line_pipelined});
   }
   co_await sim::WaitUntil(loop_, done);
@@ -353,14 +397,14 @@ sim::Task<Status> HostAdapter::StoreNt(uint64_t addr, std::span<const std::byte>
   // Health-check every touched line's route before mutating anything.
   uint64_t first_line = CachelineFloor(addr);
   uint64_t n_lines = CachelinesTouched(addr, in.size());
-  std::unordered_map<CxlLink*, uint64_t> bytes_per_link;
+  LinkTally bytes_per_link;
   for (uint64_t i = 0; i < n_lines; ++i) {
     uint64_t laddr = first_line + i * kCachelineSize;
     auto link_or = RouteCxl(laddr);
     if (!link_or.ok()) {
       co_return link_or.status();
     }
-    bytes_per_link[link_or.value()] += kCachelineSize;
+    bytes_per_link.Add(link_or.value(), kCachelineSize);
   }
 
   // Drop any cached copies (an nt-store over a dirty line discards the
@@ -374,9 +418,9 @@ sim::Task<Status> HostAdapter::StoreNt(uint64_t addr, std::span<const std::byte>
   }
 
   Nanos serial_done = now;
-  for (auto& [link, bytes] : bytes_per_link) {
+  bytes_per_link.ForEach([&](CxlLink* link, uint64_t bytes) {
     serial_done = std::max(serial_done, link->to_device().Acquire(now, bytes));
-  }
+  });
   // Posted-write semantics: the CPU only drains its write-combining buffer
   // onto the link (serial_done); the bytes commit to pool media one write
   // latency later. Same-line readers in the meantime are held to the
@@ -421,7 +465,7 @@ sim::Task<Status> HostAdapter::FlushImpl(uint64_t addr, uint64_t len, bool inval
 
   uint64_t first_line = CachelineFloor(addr);
   uint64_t n_lines = CachelinesTouched(addr, len);
-  std::unordered_map<CxlLink*, uint64_t> dirty_bytes;
+  LinkTally dirty_bytes;
   std::vector<mem::WriteBackCache::EvictedLine> writebacks;
 
   for (uint64_t i = 0; i < n_lines; ++i) {
@@ -447,7 +491,7 @@ sim::Task<Status> HostAdapter::FlushImpl(uint64_t addr, uint64_t len, bool inval
       }
       co_return link_or.status();
     }
-    dirty_bytes[link_or.value()] += kCachelineSize;
+    dirty_bytes.Add(link_or.value(), kCachelineSize);
     writebacks.push_back(*ev);
   }
 
@@ -455,9 +499,9 @@ sim::Task<Status> HostAdapter::FlushImpl(uint64_t addr, uint64_t len, bool inval
   Nanos done = now + issue_cost;
   if (!dirty_bytes.empty()) {
     Nanos serial_done = now;
-    for (auto& [link, bytes] : dirty_bytes) {
+    dirty_bytes.ForEach([&](CxlLink* link, uint64_t bytes) {
       serial_done = std::max(serial_done, link->to_device().Acquire(now, bytes));
-    }
+    });
     done = std::max(done, serial_done + JitterCxl(t.cxl_write));
   }
   co_await sim::WaitUntil(loop_, done);
@@ -498,7 +542,7 @@ sim::Task<Status> HostAdapter::DmaRead(uint64_t addr, std::span<std::byte> out) 
   // caches are never snooped.
   uint64_t first_line = CachelineFloor(addr);
   uint64_t n_lines = CachelinesTouched(addr, out.size());
-  std::unordered_map<CxlLink*, uint64_t> bytes_per_link;
+  LinkTally bytes_per_link;
 
   for (uint64_t i = 0; i < n_lines; ++i) {
     uint64_t laddr = first_line + i * kCachelineSize;
@@ -508,7 +552,7 @@ sim::Task<Status> HostAdapter::DmaRead(uint64_t addr, std::span<std::byte> out) 
     if (!link_or.ok()) {
       co_return link_or.status();
     }
-    bytes_per_link[link_or.value()] += kCachelineSize;
+    bytes_per_link.Add(link_or.value(), kCachelineSize);
     // Snoop own cache (no LRU/stat churn — this is the device, not the CPU).
     if (const mem::WriteBackCache::Line* line = cache_.Peek(laddr)) {
       EmitCoherence(CoherenceOp::kDmaReadHit, laddr);
@@ -528,13 +572,13 @@ sim::Task<Status> HostAdapter::DmaRead(uint64_t addr, std::span<std::byte> out) 
 
   Nanos latency_done = now;
   Nanos serial_done = now;
-  for (auto& [link, bytes] : bytes_per_link) {
+  bytes_per_link.ForEach([&](CxlLink* link, uint64_t bytes) {
     uint64_t lines = bytes / kCachelineSize;
     latency_done = std::max(
         latency_done,
         now + PipelinedLatency(JitterCxl(t.cxl_read), t.per_line_pipelined, lines));
     serial_done = std::max(serial_done, link->from_device().Acquire(now, bytes));
-  }
+  });
   co_await sim::WaitUntil(loop_, std::max(latency_done, serial_done));
   co_return OkStatus();
 }
@@ -558,14 +602,14 @@ sim::Task<Status> HostAdapter::DmaWrite(uint64_t addr, std::span<const std::byte
 
   uint64_t first_line = CachelineFloor(addr);
   uint64_t n_lines = CachelinesTouched(addr, in.size());
-  std::unordered_map<CxlLink*, uint64_t> bytes_per_link;
+  LinkTally bytes_per_link;
   for (uint64_t i = 0; i < n_lines; ++i) {
     uint64_t laddr = first_line + i * kCachelineSize;
     auto link_or = RouteCxl(laddr);
     if (!link_or.ok()) {
       co_return link_or.status();
     }
-    bytes_per_link[link_or.value()] += kCachelineSize;
+    bytes_per_link.Add(link_or.value(), kCachelineSize);
   }
 
   // Invalidate this host's cached copies (root-complex snoop). Cached
@@ -580,9 +624,9 @@ sim::Task<Status> HostAdapter::DmaWrite(uint64_t addr, std::span<const std::byte
   }
 
   Nanos serial_done = now;
-  for (auto& [link, bytes] : bytes_per_link) {
+  bytes_per_link.ForEach([&](CxlLink* link, uint64_t bytes) {
     serial_done = std::max(serial_done, link->to_device().Acquire(now, bytes));
-  }
+  });
   // Device DMA writes are posted like nt-stores: the engine moves on after
   // link serialization; media commit follows one write latency later and
   // same-line readers are held to the commit time.

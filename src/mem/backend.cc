@@ -1,5 +1,7 @@
 #include "src/mem/backend.h"
 
+#include <sys/mman.h>
+
 #include <cstring>
 #include <utility>
 
@@ -7,6 +9,22 @@
 #include "src/common/units.h"
 
 namespace cxlpool::mem {
+
+ZeroedMapping::ZeroedMapping(size_t size) : size_(size) {
+  if (size == 0) {
+    return;
+  }
+  void* p = mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  CXLPOOL_CHECK_MSG(p != MAP_FAILED, "mmap of %zu bytes failed", size);
+  data_ = static_cast<std::byte*>(p);
+}
+
+ZeroedMapping::~ZeroedMapping() {
+  if (data_ != nullptr) {
+    munmap(data_, size_);
+  }
+}
 
 MemoryBackend::MemoryBackend(std::string name, uint64_t size_bytes)
     : name_(std::move(name)), data_(size_bytes) {}

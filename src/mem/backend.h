@@ -17,9 +17,26 @@
 #include <span>
 #include <string>
 #include <unordered_set>
-#include <vector>
 
 namespace cxlpool::mem {
+
+// Zero-filled bytes from a private anonymous mapping. The kernel supplies
+// each page zeroed on first touch, so a large simulated memory costs
+// resident memory only for the pages a run actually uses.
+class ZeroedMapping {
+ public:
+  explicit ZeroedMapping(size_t size);
+  ~ZeroedMapping();
+  ZeroedMapping(const ZeroedMapping&) = delete;
+  ZeroedMapping& operator=(const ZeroedMapping&) = delete;
+
+  std::byte* data() const { return data_; }
+  size_t size() const { return size_; }
+
+ private:
+  std::byte* data_ = nullptr;
+  size_t size_ = 0;
+};
 
 class MemoryBackend {
  public:
@@ -52,7 +69,7 @@ class MemoryBackend {
 
  private:
   std::string name_;
-  std::vector<std::byte> data_;
+  ZeroedMapping data_;
   // 64B-line-aligned offsets of poisoned lines. Empty in the common case,
   // so the healthy-path overhead is one empty() check per access.
   std::unordered_set<uint64_t> poisoned_lines_;

@@ -12,9 +12,8 @@
 
 #include <array>
 #include <cstdint>
-#include <list>
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "src/common/units.h"
 
@@ -64,19 +63,48 @@ class WriteBackCache {
   // tests, so it intentionally loses dirty data.
   void DropAll();
 
-  size_t size() const { return lines_.size(); }
+  size_t size() const { return size_; }
   size_t capacity() const { return capacity_lines_; }
   const Stats& stats() const { return stats_; }
 
  private:
-  struct Entry {
+  // Lines live in a slot vector that grows up to capacity and is then
+  // reused in place, so installing a line allocates nothing. The LRU order
+  // is an intrusive doubly-linked list of slot indices (head = most
+  // recent); the lookup index is an open-addressing table with linear
+  // probing and backward-shift deletion.
+  static constexpr uint32_t kNil = UINT32_MAX;
+  static constexpr uint64_t kEmptyKey = UINT64_MAX;  // never 64 B aligned
+
+  struct Slot {
+    uint64_t line_addr;
+    uint32_t prev;
+    uint32_t next;  // also links the free-slot chain
     Line line;
-    std::list<uint64_t>::iterator lru_it;
+  };
+  struct IndexEntry {
+    uint64_t line_addr = kEmptyKey;
+    uint32_t slot = kNil;
   };
 
+  size_t Home(uint64_t line_addr) const;
+  // Index position holding `line_addr`, or of the empty entry ending its
+  // probe sequence.
+  size_t Probe(uint64_t line_addr) const;
+  uint32_t Lookup(uint64_t line_addr) const;  // slot or kNil
+  void IndexInsert(uint64_t line_addr, uint32_t slot);
+  void IndexErase(uint64_t line_addr);
+  void Unlink(uint32_t s);
+  void PushFront(uint32_t s);
+  EvictedLine Evict(uint32_t s);
+
   size_t capacity_lines_;
-  std::unordered_map<uint64_t, Entry> lines_;
-  std::list<uint64_t> lru_;  // front = most recent
+  size_t size_ = 0;
+  std::vector<Slot> slots_;
+  std::vector<IndexEntry> index_;  // power-of-two size, at most half full
+  uint32_t head_ = kNil;
+  uint32_t tail_ = kNil;
+  uint32_t free_ = kNil;
   Stats stats_;
 };
 

@@ -2,6 +2,10 @@
 #include "src/common/check.h"
 
 #include <cstring>
+#include <list>
+#include <optional>
+#include <random>
+#include <unordered_map>
 
 #include "src/mem/address_map.h"
 #include "src/mem/backend.h"
@@ -58,6 +62,46 @@ TEST(BackendTest, BoundsCheckFailureNamesTheBackendAndOffsets) {
                "backend 'nic0-bar'.*16 bytes at offset 5000.*backend size 4096");
   EXPECT_DEATH(b.Write(4090, buf),
                "backend 'nic0-bar'.*16 bytes at offset 4090.*backend size 4096");
+}
+
+TEST(BackendTest, LargeBackendReadsZerosWhereNeverWrittenAndKeepsBoundsMessages) {
+  constexpr uint64_t kSize = 64ull << 20;
+  MemoryBackend b("mhd0-media", kSize);
+  std::array<std::byte, 64> pattern;
+  pattern.fill(std::byte{0x5a});
+  b.Write(0, pattern);
+  b.Write(kSize / 2 + 8, pattern);
+  b.Write(kSize - pattern.size(), pattern);
+
+  std::array<std::byte, 64> buf;
+  for (uint64_t offset : {uint64_t{64}, uint64_t{4096}, kSize / 2 - 64,
+                          kSize / 2 + 72, uint64_t{48} << 20, kSize - 128}) {
+    buf.fill(std::byte{0xff});
+    b.Read(offset, buf);
+    for (std::byte x : buf) {
+      ASSERT_EQ(x, std::byte{0}) << "offset " << offset;
+    }
+  }
+  b.Read(kSize / 2 + 8, buf);
+  EXPECT_EQ(buf, pattern);
+  b.Read(kSize - buf.size(), buf);
+  EXPECT_EQ(buf, pattern);
+
+  std::array<std::byte, 16> small{};
+  EXPECT_DEATH(b.Read(kSize - 8, small),
+               "backend 'mhd0-media'.*16 bytes at offset 67108856.*backend "
+               "size 67108864");
+  EXPECT_DEATH(b.Write(kSize, small),
+               "backend 'mhd0-media'.*16 bytes at offset 67108864.*backend "
+               "size 67108864");
+}
+
+TEST(BackendTest, ZeroSizedBackendRejectsEveryAccess) {
+  MemoryBackend b("empty", 0);
+  EXPECT_EQ(b.size(), 0u);
+  std::array<std::byte, 1> one{};
+  EXPECT_DEATH(b.Read(0, one),
+               "backend 'empty'.*1 bytes at offset 0.*backend size 0");
 }
 
 // --- Media poison (RAS) ---
@@ -433,6 +477,183 @@ TEST_P(CacheCapacityTest, OccupancyBounded) {
 
 INSTANTIATE_TEST_SUITE_P(Capacities, CacheCapacityTest,
                          ::testing::Values(1, 2, 7, 64, 1024));
+
+// The exact fully-associative LRU the cache must reproduce, kept in its
+// original std::list + std::unordered_map form as the reference model.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(size_t capacity) : capacity_(capacity) {}
+
+  WriteBackCache::Line* Find(uint64_t addr) {
+    auto it = lines_.find(addr);
+    if (it == lines_.end()) {
+      ++stats_.misses;
+      return nullptr;
+    }
+    ++stats_.hits;
+    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+    return &it->second.line;
+  }
+
+  const WriteBackCache::Line* Peek(uint64_t addr) const {
+    auto it = lines_.find(addr);
+    return it == lines_.end() ? nullptr : &it->second.line;
+  }
+
+  std::optional<WriteBackCache::EvictedLine> Install(uint64_t addr,
+                                                     const std::byte* data,
+                                                     bool dirty) {
+    if (capacity_ == 0) {
+      return std::nullopt;
+    }
+    auto it = lines_.find(addr);
+    if (it != lines_.end()) {
+      std::memcpy(it->second.line.data.data(), data, kCachelineSize);
+      it->second.line.dirty = it->second.line.dirty || dirty;
+      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+      return std::nullopt;
+    }
+    std::optional<WriteBackCache::EvictedLine> victim;
+    if (lines_.size() >= capacity_) {
+      victim = Take(lru_.back());
+    }
+    lru_.push_front(addr);
+    Entry& e = lines_[addr];
+    std::memcpy(e.line.data.data(), data, kCachelineSize);
+    e.line.dirty = dirty;
+    e.lru_it = lru_.begin();
+    return victim;
+  }
+
+  std::optional<WriteBackCache::EvictedLine> Remove(uint64_t addr) {
+    if (!lines_.contains(addr)) {
+      return std::nullopt;
+    }
+    ++stats_.invalidations;
+    return Take(addr);
+  }
+
+  void DropAll() {
+    lines_.clear();
+    lru_.clear();
+  }
+
+  size_t size() const { return lines_.size(); }
+  const WriteBackCache::Stats& stats() const { return stats_; }
+
+ private:
+  struct Entry {
+    WriteBackCache::Line line;
+    std::list<uint64_t>::iterator lru_it;
+  };
+
+  WriteBackCache::EvictedLine Take(uint64_t addr) {
+    auto it = lines_.find(addr);
+    WriteBackCache::EvictedLine ev;
+    ev.line_addr = addr;
+    ev.dirty = it->second.line.dirty;
+    ev.data = it->second.line.data;
+    if (ev.dirty) {
+      ++stats_.writebacks;
+    }
+    lru_.erase(it->second.lru_it);
+    lines_.erase(it);
+    return ev;
+  }
+
+  size_t capacity_;
+  std::unordered_map<uint64_t, Entry> lines_;
+  std::list<uint64_t> lru_;
+  WriteBackCache::Stats stats_;
+};
+
+void ExpectSameLine(const WriteBackCache::Line* got,
+                    const WriteBackCache::Line* want) {
+  ASSERT_EQ(got == nullptr, want == nullptr);
+  if (got != nullptr) {
+    EXPECT_EQ(got->dirty, want->dirty);
+    EXPECT_EQ(got->data, want->data);
+  }
+}
+
+void ExpectSameEvicted(const std::optional<WriteBackCache::EvictedLine>& got,
+                       const std::optional<WriteBackCache::EvictedLine>& want) {
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (got) {
+    EXPECT_EQ(got->line_addr, want->line_addr);
+    EXPECT_EQ(got->dirty, want->dirty);
+    EXPECT_EQ(got->data, want->data);
+  }
+}
+
+// Seeded differential test: random Find / Peek / Install / Remove /
+// DropAll traffic must produce identical results, victims, dirty bits,
+// occupancy and statistics in the cache and the reference LRU.
+class CacheDifferentialTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(CacheDifferentialTest, MatchesReferenceLru) {
+  const size_t cap = GetParam();
+  WriteBackCache cache(cap);
+  ReferenceLru ref(cap);
+  std::mt19937_64 rng(0xC0FFEE + cap);
+  // Lines drawn from a working set a bit larger than the cache, spread
+  // over two far-apart windows so the index sees unrelated high bits.
+  const uint64_t span = 2 * cap + 5;
+  auto draw_addr = [&] {
+    uint64_t line = rng() % span;
+    uint64_t base = (rng() % 2 == 0) ? 0 : (uint64_t{0x3b} << 40);
+    return base + line * kCachelineSize;
+  };
+  const int ops = cap >= 1024 ? 200000 : 20000;
+  // Rare enough that the cache refills to capacity between drops.
+  const uint64_t drop_every = 20 * span;
+  uint64_t victims = 0;
+  for (int i = 0; i < ops; ++i) {
+    uint64_t addr = draw_addr();
+    uint64_t roll = rng() % 1000;
+    if (rng() % drop_every == 0) {
+      roll = 1000;
+    }
+    if (roll < 400) {
+      WriteBackCache::Line* got = cache.Find(addr);
+      WriteBackCache::Line* want = ref.Find(addr);
+      ExpectSameLine(got, want);
+      if (got != nullptr && rng() % 2 == 0) {  // a store hit dirties the line
+        auto b = std::byte{static_cast<uint8_t>(rng())};
+        size_t at = rng() % kCachelineSize;
+        got->data[at] = want->data[at] = b;
+        got->dirty = want->dirty = true;
+      }
+    } else if (roll < 500) {
+      ExpectSameLine(cache.Peek(addr), ref.Peek(addr));
+    } else if (roll < 850) {
+      auto data = LinePattern(static_cast<uint8_t>(rng()));
+      bool dirty = rng() % 3 == 0;
+      auto got = cache.Install(addr, data.data(), dirty);
+      ExpectSameEvicted(got, ref.Install(addr, data.data(), dirty));
+      victims += got.has_value() ? 1 : 0;
+    } else if (roll < 1000) {
+      ExpectSameEvicted(cache.Remove(addr), ref.Remove(addr));
+    } else {
+      cache.DropAll();
+      ref.DropAll();
+    }
+    ASSERT_EQ(cache.size(), ref.size()) << "op " << i;
+    ASSERT_EQ(cache.stats().hits, ref.stats().hits);
+    ASSERT_EQ(cache.stats().misses, ref.stats().misses);
+    ASSERT_EQ(cache.stats().writebacks, ref.stats().writebacks);
+    ASSERT_EQ(cache.stats().invalidations, ref.stats().invalidations);
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "diverged at op " << i;
+    }
+  }
+  if (cap > 0) {
+    EXPECT_GT(victims, 0u);  // the traffic did exercise eviction
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, CacheDifferentialTest,
+                         ::testing::Values(0, 1, 7, 4096));
 
 }  // namespace
 }  // namespace cxlpool::mem

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "src/sim/bandwidth.h"
@@ -84,6 +86,226 @@ TEST(EventLoopTest, StopInterruptsRun) {
   loop.Run();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(loop.pending(), 1u);
+}
+
+TEST(EventLoopTest, SameInstantFifoAcrossHandlesAndCallbacks) {
+  EventLoop loop;
+  std::vector<int> order;
+  auto waiter = [](EventLoop& l, std::vector<int>& log, int tag) -> Task<> {
+    co_await WaitUntil(l, 100);  // queued through EventLoop::ResumeAt
+    log.push_back(tag);
+  };
+  for (int i = 0; i < 8; ++i) {
+    if (i % 2 == 0) {
+      Spawn(waiter(loop, order, i));
+    } else {
+      loop.ScheduleAt(100, [&order, i] { order.push_back(i); });
+    }
+  }
+  // Same-instant events queued while the burst runs go after it: an Event
+  // wake-up (also a handle item) and a callback, in that order.
+  Event ev(loop);
+  auto event_waiter = [](Event& e, std::vector<int>& log) -> Task<> {
+    co_await e.Wait();
+    log.push_back(10);
+  };
+  Spawn(event_waiter(ev, order));
+  loop.ScheduleAt(100, [&] {
+    order.push_back(8);
+    ev.Set();
+    loop.ScheduleAt(100, [&order] { order.push_back(11); });
+  });
+  EXPECT_EQ(loop.pending(), 9u);
+  loop.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 11}));
+  EXPECT_EQ(loop.now(), 100);
+  EXPECT_EQ(loop.executed(), 11u);
+}
+
+TEST(EventLoopTest, CallbackCanReuseItsOwnSlotWhileRunning) {
+  EventLoop loop;
+  std::vector<std::string> seen;
+  // The capture is long enough to live on the heap: if the running
+  // callback were overwritten in place, reading it afterwards would fail.
+  std::string tag = "first callback, long enough to need a heap buffer";
+  loop.Schedule(10, [&loop, &seen, tag] {
+    // The slot this callback came from is free again: the next schedule
+    // takes it, and a burst grows the table underneath the running call.
+    loop.Schedule(0, [&seen] { seen.push_back("reused slot"); });
+    for (int i = 0; i < 64; ++i) {
+      loop.Schedule(5, [&seen, i] { seen.push_back("burst " + std::to_string(i)); });
+    }
+    seen.push_back(tag);
+  });
+  loop.Run();
+  ASSERT_EQ(seen.size(), 66u);
+  EXPECT_EQ(seen[0], tag);
+  EXPECT_EQ(seen[1], "reused slot");
+  EXPECT_EQ(seen[2], "burst 0");
+  EXPECT_EQ(seen[65], "burst 63");
+  EXPECT_EQ(loop.now(), 15);
+  EXPECT_TRUE(loop.empty());
+}
+
+TEST(EventLoopTest, RunUntilLeavesHandlesAndCallbacksQueued) {
+  EventLoop loop;
+  std::vector<int> order;
+  auto waiter = [](EventLoop& l, std::vector<int>& log) -> Task<> {
+    co_await Delay(l, 100);
+    log.push_back(1);
+  };
+  Spawn(waiter(loop, order));
+  loop.Schedule(100, [&order] { order.push_back(2); });
+  loop.Schedule(20, [&order] { order.push_back(0); });
+  loop.RunUntil(50);
+  EXPECT_EQ(order, (std::vector<int>{0}));
+  EXPECT_EQ(loop.now(), 50);
+  EXPECT_EQ(loop.pending(), 2u);
+  loop.RunUntil(99);
+  EXPECT_EQ(loop.pending(), 2u);
+  loop.RunUntil(100);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_TRUE(loop.empty());
+}
+
+TEST(EventLoopTest, StopInTheMiddleOfASameInstantBurst) {
+  EventLoop loop;
+  std::vector<int> order;
+  auto waiter = [](EventLoop& l, std::vector<int>& log, int tag) -> Task<> {
+    co_await Delay(l, 7);
+    log.push_back(tag);
+  };
+  Spawn(waiter(loop, order, 0));
+  loop.Schedule(7, [&order] { order.push_back(1); });
+  loop.Schedule(7, [&] {
+    order.push_back(2);
+    loop.Stop();
+  });
+  Spawn(waiter(loop, order, 3));
+  loop.Schedule(7, [&order] { order.push_back(4); });
+  loop.Run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(loop.executed(), 3u);
+  EXPECT_EQ(loop.pending(), 2u);
+  EXPECT_EQ(loop.now(), 7);
+  loop.Run();  // resumes the rest of the burst in order
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(loop.now(), 7);
+}
+
+TEST(EventLoopTest, PendingAndEmptyCountBothKinds) {
+  EventLoop loop;
+  EXPECT_TRUE(loop.empty());
+  EXPECT_EQ(loop.pending(), 0u);
+  auto waiter = [](EventLoop& l) -> Task<> { co_await Delay(l, 3); };
+  Spawn(waiter(loop));
+  EXPECT_FALSE(loop.empty());
+  EXPECT_EQ(loop.pending(), 1u);
+  loop.Schedule(1, [] {});
+  loop.Schedule(2, [] {});
+  EXPECT_EQ(loop.pending(), 3u);
+  loop.RunUntil(1);
+  EXPECT_EQ(loop.pending(), 2u);
+  loop.Run();
+  EXPECT_TRUE(loop.empty());
+  EXPECT_EQ(loop.pending(), 0u);
+  EXPECT_EQ(loop.executed(), 3u);
+}
+
+// --- Coroutine frame recycling ---
+
+// Suspends for 1 ns and records the awaiting coroutine's frame address.
+struct RecordFrame {
+  EventLoop& loop;
+  void*& frame;
+  bool await_ready() const { return false; }
+  void await_suspend(std::coroutine_handle<> h) const {
+    frame = h.address();
+    loop.ResumeAt(loop.now() + 1, h);
+  }
+  void await_resume() const {}
+};
+
+// A coroutine whose frame holds an N-byte local across a suspension.
+template <size_t N>
+Task<int> FrameOf(EventLoop& loop, void*& frame) {
+  std::array<char, N> buf{};
+  buf[N - 1] = static_cast<char>(N % 100);
+  co_await RecordFrame{loop, frame};
+  co_return buf[N - 1] + buf[0];
+}
+
+// Runs FrameOf<N> to completion and returns its frame address.
+template <size_t N>
+void* RunFrameOf(EventLoop& loop) {
+  void* frame = nullptr;
+  EXPECT_EQ(RunBlocking(loop, FrameOf<N>(loop, frame)), static_cast<int>(N % 100));
+  return frame;
+}
+
+TEST(FramePoolTest, ServesAFreedFrameToTheNextRequestOfItsClass) {
+  using task_internal::FramePool;
+  if (!FramePool::kEnabled) {
+    GTEST_SKIP() << "frame recycling is compiled out under AddressSanitizer";
+  }
+  // 200 and 230 bytes share the 193..256 B class. The host allocator would
+  // hand a freed block straight back to the next request of its size, so
+  // one such request in between shows that the frame stayed in the pool.
+  void* a = FramePool::Allocate(200);
+  FramePool::Release(a, 200);
+  void* host = ::operator new(200);
+  void* b = FramePool::Allocate(230);
+  EXPECT_EQ(b, a);
+  EXPECT_NE(host, a);
+  ::operator delete(host);
+  FramePool::Release(b, 230);
+
+  // An oversize block goes back to the host allocator, never onto a class
+  // list: the largest class keeps handing out its own cached block.
+  void* top = FramePool::Allocate(2048);
+  FramePool::Release(top, 2048);
+  void* big = FramePool::Allocate(4096);
+  FramePool::Release(big, 4096);
+  void* again = FramePool::Allocate(2000);
+  EXPECT_EQ(again, top);
+  EXPECT_NE(again, big);
+  FramePool::Release(again, 2000);
+}
+
+TEST(FramePoolTest, RecyclesTaskFramesPerSizeClassAndPassesOversizeThrough) {
+  constexpr bool kRecycles = task_internal::FramePool::kEnabled;
+  EventLoop loop;
+  RunFrameOf<8>(loop);  // warms the classes RunBlocking's own frames use
+  // Sizes chosen to land in different 64 B classes, the last near the top.
+  void* f200 = RunFrameOf<200>(loop);
+  void* f700 = RunFrameOf<700>(loop);
+  void* f1300 = RunFrameOf<1300>(loop);
+  void* f1900 = RunFrameOf<1900>(loop);
+  // A later run of the same size reuses the first run's frame.
+  auto expect_reused = [&] {
+    void* r200 = RunFrameOf<200>(loop);
+    void* r700 = RunFrameOf<700>(loop);
+    void* r1300 = RunFrameOf<1300>(loop);
+    void* r1900 = RunFrameOf<1900>(loop);
+    if (kRecycles) {
+      EXPECT_EQ(r200, f200);
+      EXPECT_EQ(r700, f700);
+      EXPECT_EQ(r1300, f1300);
+      EXPECT_EQ(r1900, f1900);
+    }
+  };
+  expect_reused();
+
+  // An oversize frame comes from the host allocator and goes back to it.
+  // It lands on no class list, so every class still serves its own frame.
+  void* big = RunFrameOf<8192>(loop);
+  if (kRecycles) {
+    for (void* f : {f200, f700, f1300, f1900}) {
+      EXPECT_NE(big, f);
+    }
+  }
+  expect_reused();
+  EXPECT_EQ(loop.now(), 14);
 }
 
 // --- Task / coroutines ---
