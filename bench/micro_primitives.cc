@@ -48,6 +48,34 @@ void BM_CoroutinePingPong(benchmark::State& state) {
 }
 BENCHMARK(BM_CoroutinePingPong);
 
+// The calendar's shape in a pooled datapath: many pollers backing off
+// through 100-500 ns delays, with one wait in 25 an idle slice 2-8 us
+// ahead, beyond the event loop's 4096 ns wheel.
+void BM_EventLoopPollers(benchmark::State& state) {
+  constexpr int kPollers = 64;
+  constexpr int kWaits = 250;
+  auto poller = [](sim::EventLoop& l, uint64_t id) -> sim::Task<> {
+    static constexpr Nanos kBackoff[] = {100, 200, 400, 500};
+    sim::Rng rng(id);
+    for (int i = 0; i < kWaits; ++i) {
+      Nanos wait = rng.UniformInt(uint64_t{25}) == 0
+                       ? rng.UniformInt(int64_t{2000}, int64_t{8000})
+                       : kBackoff[i % 4];
+      co_await sim::Delay(l, wait);
+    }
+  };
+  for (auto _ : state) {
+    sim::EventLoop loop;
+    for (int p = 0; p < kPollers; ++p) {
+      sim::Spawn(poller(loop, static_cast<uint64_t>(p) + 1));
+    }
+    loop.Run();
+    benchmark::DoNotOptimize(loop.executed());
+  }
+  state.SetItemsProcessed(state.iterations() * kPollers * kWaits);
+}
+BENCHMARK(BM_EventLoopPollers);
+
 void BM_HistogramAdd(benchmark::State& state) {
   sim::Histogram h;
   sim::Rng rng(3);

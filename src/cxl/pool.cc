@@ -153,15 +153,19 @@ Status CxlPool::Free(const PoolSegment& segment) {
 }
 
 Result<MhdId> CxlPool::RouteAddress(uint64_t addr) const {
-  auto it = segments_.upper_bound(addr);
-  if (it == segments_.begin()) {
-    return NotFound("address below pool window");
+  if (last_route_ == nullptr || addr < last_route_->base ||
+      addr >= last_route_->end()) {
+    auto it = segments_.upper_bound(addr);
+    if (it == segments_.begin()) {
+      return NotFound("address below pool window");
+    }
+    --it;
+    if (addr >= it->second.segment.end()) {
+      return NotFound("address not in any pool segment");
+    }
+    last_route_ = &it->second.segment;
   }
-  --it;
-  const PoolSegment& seg = it->second.segment;
-  if (addr >= seg.end()) {
-    return NotFound("address not in any pool segment");
-  }
+  const PoolSegment& seg = *last_route_;
   if (!seg.interleaved()) {
     return seg.mhds.front();
   }

@@ -121,6 +121,10 @@ class CxlPool {
   // timing routed per-granule to member MHDs' links).
   std::vector<std::unique_ptr<mem::MemoryBackend>> striped_backends_;
   std::map<uint64_t, SegmentInfo> segments_;  // keyed by base
+  // Last segment RouteAddress resolved, tried before the map walk. Sound
+  // because segments are never erased (Free only marks them) and std::map
+  // nodes never move; code that erases a segment must reset it.
+  mutable const PoolSegment* last_route_ = nullptr;
   uint64_t next_base_ = kPoolWindowBase;
   // line address -> commit time of the newest pending posted write.
   mutable std::unordered_map<uint64_t, Nanos> pending_commits_;

@@ -34,6 +34,10 @@ Status AddressMap::Register(const Region& region) {
 }
 
 const Region* AddressMap::Lookup(uint64_t addr) const {
+  if (last_hit_ != nullptr && addr >= last_hit_->base &&
+      addr < last_hit_->base + last_hit_->size) {
+    return last_hit_;
+  }
   auto it = regions_.upper_bound(addr);
   if (it == regions_.begin()) {
     return nullptr;
@@ -41,6 +45,7 @@ const Region* AddressMap::Lookup(uint64_t addr) const {
   --it;
   const Region& r = it->second;
   if (addr < r.base + r.size) {
+    last_hit_ = &r;
     return &r;
   }
   return nullptr;

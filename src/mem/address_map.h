@@ -76,6 +76,10 @@ class AddressMap {
 
  private:
   std::map<uint64_t, Region> regions_;  // keyed by base
+  // Last region Lookup resolved, tried before the map walk. Sound because
+  // regions are never erased and std::map nodes never move; code that
+  // erases a region must reset it.
+  mutable const Region* last_hit_ = nullptr;
 };
 
 }  // namespace cxlpool::mem

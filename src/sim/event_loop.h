@@ -1,16 +1,23 @@
-// Discrete-event simulation core: a binary-heap calendar keyed by simulated
-// time (nanoseconds). Single-threaded by design — determinism is a feature;
+// Discrete-event simulation core: a calendar keyed by simulated time
+// (nanoseconds). Single-threaded by design — determinism is a feature;
 // concurrency in the simulated system is expressed with coroutines
 // (src/sim/task.h), not OS threads.
 //
 // The calendar holds small trivially-copyable items. An item's target is
 // either a coroutine to resume (the common case: every Delay and every
 // Event wake-up) or a slot in a recycled table of callbacks, so the
-// per-event path neither allocates nor moves std::function objects around
-// the heap.
+// per-event path neither allocates nor moves std::function objects around.
+//
+// Events due within kWheelSize ns of now() sit in a timing wheel with one
+// bucket per nanosecond; later ones wait in a binary heap. Every wheel
+// event lies in [now, now + kWheelSize), so a bucket holds exactly one
+// instant, and its events are appended in scheduling order. Popping the
+// earlier of the first occupied bucket's head and the heap's top by
+// (when, seq) therefore gives the heap-only order exactly.
 #ifndef SRC_SIM_EVENT_LOOP_H_
 #define SRC_SIM_EVENT_LOOP_H_
 
+#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
@@ -57,14 +64,19 @@ class EventLoop {
   // Makes Run()/RunUntil() return after the current event completes.
   void Stop() { stopped_ = true; }
 
-  bool empty() const { return heap_.empty(); }
-  size_t pending() const { return heap_.size(); }
+  bool empty() const { return pending() == 0; }
+  size_t pending() const { return wheel_count_ + overflow_.size(); }
 
   // Total number of events executed since construction. Useful for
   // detecting runaway simulations and for the DES micro-benchmarks.
   uint64_t executed() const { return executed_; }
 
  private:
+  // Wheel span in ns (one bucket per ns); a power of two.
+  static constexpr size_t kWheelSize = 4096;
+  static constexpr size_t kWheelMask = kWheelSize - 1;
+  static constexpr uint32_t kNil = UINT32_MAX;
+
   // `target` is a coroutine frame address (frames are at least 8-byte
   // aligned, so bit 0 is clear) or (callback slot << 1) | 1.
   struct Item {
@@ -80,13 +92,39 @@ class EventLoop {
       return a.seq > b.seq;
     }
   };
+  // A wheel entry, linked into its bucket's FIFO or into the free list.
+  struct Node {
+    uint64_t seq;
+    uintptr_t target;
+    uint32_t next;
+  };
+  // Valid only while the bucket's occupancy bit is set.
+  struct Bucket {
+    uint32_t head;
+    uint32_t tail;
+  };
+  // The earliest pending event: a wheel bucket, or the heap's top when
+  // `bucket` is kNil.
+  struct Next {
+    Nanos when;
+    uint32_t bucket;
+  };
 
   void Push(Nanos when, uintptr_t target);
 
-  // Pops and runs the earliest event. Precondition: !empty().
-  void RunOne();
+  // Locates the earliest pending event. Returns false if none is pending.
+  bool FindNext(Next& next) const;
 
-  std::priority_queue<Item, std::vector<Item>, Later> heap_;
+  // Removes the event `next` names, advances now() to it and runs it.
+  void RunOne(const Next& next);
+
+  std::array<Bucket, kWheelSize> buckets_;
+  std::array<uint64_t, kWheelSize / 64> occupied_{};
+  std::vector<Node> nodes_;
+  uint32_t free_node_ = kNil;
+  size_t wheel_count_ = 0;
+  std::priority_queue<Item, std::vector<Item>, Later> overflow_;
+
   std::vector<Callback> callbacks_;
   std::vector<uintptr_t> free_slots_;
   Nanos now_ = 0;

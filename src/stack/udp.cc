@@ -123,7 +123,7 @@ sim::Task<Status> UdpStack::ReclaimTxBuffers(bool force_refresh) {
   }
   while (tx_reclaimed_ < completed && !inflight_tx_.empty()) {
     pool_->Free(inflight_tx_.front());
-    inflight_tx_.erase(inflight_tx_.begin());
+    inflight_tx_.pop_front();
     ++tx_reclaimed_;
   }
   co_return OkStatus();

@@ -119,8 +119,8 @@ class UdpStack {
 
   std::map<uint16_t, std::unique_ptr<UdpSocket>> sockets_;
   std::deque<core::VirtualNic::RxEvent> work_;  // dispatcher -> workers
-  std::vector<uint64_t> posted_rx_;     // addresses currently owned by the NIC
-  std::vector<uint64_t> inflight_tx_;   // FIFO of buffers awaiting completion
+  std::deque<uint64_t> posted_rx_;      // addresses currently owned by the NIC
+  std::deque<uint64_t> inflight_tx_;    // FIFO of buffers awaiting completion
   uint64_t tx_reclaimed_ = 0;           // completions already processed
 
   Stats stats_;

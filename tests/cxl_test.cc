@@ -102,6 +102,38 @@ TEST_F(CxlPodTest, RouteUnknownAddressFails) {
   EXPECT_FALSE(pod_.pool().RouteAddress(0xdeadbeef).ok());
 }
 
+TEST_F(CxlPodTest, RouteAddressAcrossInterleavedSegmentsKeepsErrors) {
+  CxlPool& pool = pod_.pool();
+  auto a = pool.AllocateInterleaved(64 * kKiB, {MhdId(0), MhdId(1)});
+  auto b = pool.Allocate(4096, MhdId(1));
+  auto c = pool.AllocateInterleaved(64 * kKiB, {MhdId(1), MhdId(0)});
+  ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+  ASSERT_EQ(a->end(), b->base);
+  ASSERT_EQ(b->end(), c->base);
+  // Hop between the three adjacent segments so every lookup follows one
+  // that resolved a different segment or granule.
+  for (uint64_t g = 0; g < 8; ++g) {
+    uint64_t off = g * kInterleaveGranule;
+    EXPECT_EQ(*pool.RouteAddress(a->base + off), MhdId(g % 2));
+    EXPECT_EQ(*pool.RouteAddress(c->base + off), MhdId(1 - g % 2));
+    EXPECT_EQ(*pool.RouteAddress(b->base + off % b->size), MhdId(1));
+    EXPECT_EQ(*pool.RouteAddress(a->end() - 1 - off), MhdId(1 - g % 2));
+  }
+  // Below the window and past the last segment, with a segment just
+  // resolved each time: same codes and messages as a cold lookup.
+  ASSERT_TRUE(pool.RouteAddress(a->base).ok());
+  auto below = pool.RouteAddress(kPoolWindowBase - 1);
+  EXPECT_EQ(below.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(below.status().message(), "address below pool window");
+  ASSERT_TRUE(pool.RouteAddress(c->end() - 1).ok());
+  auto past = pool.RouteAddress(c->end());
+  EXPECT_EQ(past.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(past.status().message(), "address not in any pool segment");
+  // Freeing keeps the segment routable, as before.
+  ASSERT_TRUE(pool.Free(*b).ok());
+  EXPECT_EQ(*pool.RouteAddress(b->base), MhdId(1));
+}
+
 // --- Host adapter: local DRAM ---
 
 TEST_F(CxlPodTest, DramRoundTripAndTiming) {

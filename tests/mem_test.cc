@@ -5,6 +5,7 @@
 #include <list>
 #include <optional>
 #include <random>
+#include <string>
 #include <unordered_map>
 
 #include "src/mem/address_map.h"
@@ -195,6 +196,52 @@ TEST_F(AddressMapTest, ResolveRejectsUnmapped) {
   auto r = map_.Resolve(0x0, 8);
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
+}
+
+TEST_F(AddressMapTest, LastHitNeverAnswersForAnotherRange) {
+  const uint64_t r1_end = 0x1000 + 64 * kKiB;
+  ASSERT_EQ(map_.Lookup(0x1000)->base, 0x1000u);  // last hit: r1
+  // The gap right after the last hit stays unmapped, message unchanged.
+  EXPECT_EQ(map_.Lookup(r1_end), nullptr);
+  auto gap = map_.Resolve(r1_end, 8);
+  EXPECT_EQ(gap.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(gap.status().message(), "address " + std::to_string(r1_end) + " is unmapped");
+
+  // A region registered into that gap after r1 was the last hit.
+  ASSERT_EQ(map_.Lookup(r1_end - 1)->base, 0x1000u);
+  MemoryBackend next("next", 4 * kKiB);
+  Region r3;
+  r3.base = r1_end;
+  r3.size = 4 * kKiB;
+  r3.kind = MemoryKind::kCxlPool;
+  r3.mhd = MhdId(1);
+  r3.backend = &next;
+  ASSERT_TRUE(map_.Register(r3).ok());
+  // Alternating between the two adjacent regions, on both sides of the
+  // shared boundary.
+  for (uint64_t i = 0; i < 8; ++i) {
+    const Region* below = map_.Lookup(r1_end - 1 - i);
+    ASSERT_NE(below, nullptr);
+    EXPECT_EQ(below->base, 0x1000u);
+    const Region* above = map_.Lookup(r1_end + i);
+    ASSERT_NE(above, nullptr);
+    EXPECT_EQ(above->base, r1_end);
+  }
+  EXPECT_EQ(map_.Lookup(r1_end + 4 * kKiB), nullptr);  // past r3, last hit r3
+
+  // A range crossing the boundary is still rejected, whichever side was
+  // the last hit.
+  for (uint64_t prime : {r1_end - 1, r1_end}) {
+    ASSERT_NE(map_.Lookup(prime), nullptr);
+    auto cross = map_.Resolve(r1_end - 8, 16);
+    EXPECT_EQ(cross.status().code(), StatusCode::kOutOfRange);
+    EXPECT_EQ(cross.status().message(),
+              "range crosses region boundary at " + std::to_string(r1_end));
+  }
+  auto tail = map_.Resolve(r1_end + 4 * kKiB - 8, 16);
+  EXPECT_EQ(tail.status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(tail.status().message(),
+            "range crosses region boundary at " + std::to_string(r1_end + 4 * kKiB));
 }
 
 TEST_F(AddressMapTest, OverlapRejected) {

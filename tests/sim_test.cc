@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <algorithm>
 #include <cmath>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -210,6 +212,202 @@ TEST(EventLoopTest, PendingAndEmptyCountBothKinds) {
   EXPECT_TRUE(loop.empty());
   EXPECT_EQ(loop.pending(), 0u);
   EXPECT_EQ(loop.executed(), 3u);
+}
+
+// --- Calendar differential test ---
+//
+// Drives an EventLoop and a reference binary heap ordered by (when, seq)
+// in lockstep: every event the test schedules goes to both, and every
+// event the loop runs must be the reference's earliest, at its time.
+class ReferenceCalendar {
+ public:
+  explicit ReferenceCalendar(EventLoop& loop) : loop_(loop) {}
+
+  // Records that event `id` was scheduled for `when`.
+  void Expect(Nanos when, int id) {
+    heap_.push(Entry{std::max(when, loop_.now()), next_seq_++, id});
+  }
+
+  // Called by event `id` when it runs. The first divergence stops the loop.
+  void Ran(int id) {
+    ++ran_;
+    if (!divergence_.empty()) {
+      return;
+    }
+    if (heap_.empty()) {
+      divergence_ = "event " + std::to_string(id) + " ran with none expected";
+    } else if (heap_.top().id != id || heap_.top().when != loop_.now()) {
+      divergence_ = "event #" + std::to_string(ran_) + ": ran " + std::to_string(id) +
+                    " at " + std::to_string(loop_.now()) + ", expected " +
+                    std::to_string(heap_.top().id) + " at " +
+                    std::to_string(heap_.top().when);
+    }
+    if (!divergence_.empty()) {
+      loop_.Stop();
+      return;
+    }
+    heap_.pop();
+  }
+
+  size_t pending() const { return heap_.size(); }
+  uint64_t ran() const { return ran_; }
+  const std::string& divergence() const { return divergence_; }
+
+ private:
+  struct Entry {
+    Nanos when;
+    uint64_t seq;
+    int id;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    }
+  };
+  EventLoop& loop_;
+  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  uint64_t next_seq_ = 0;
+  uint64_t ran_ = 0;
+  std::string divergence_;
+};
+
+// Random schedules aimed at the wheel's edges: the horizon (4095, 4096,
+// 4097 ns ahead), milliseconds ahead, the past (clamped to now), and a
+// few shared instants on a 1 us grid that events reach both from the
+// overflow heap (scheduled > 4096 ns ahead) and from the wheel (scheduled
+// later, nearer), so the two sides tie on `when`.
+class CalendarFuzz {
+ public:
+  CalendarFuzz(EventLoop& loop, uint64_t seed, int budget)
+      : loop_(loop), ref_(loop), rng_(seed), budget_(budget) {}
+
+  ReferenceCalendar& ref() { return ref_; }
+  int stops() const { return stops_; }
+  void AddBudget(int events) { budget_ += events; }
+
+  Nanos PickWhen() {
+    Nanos now = loop_.now();
+    switch (rng_.UniformInt(uint64_t{9})) {
+      case 0:
+        return now;
+      case 1:
+        return now + 4095;
+      case 2:
+        return now + 4096;
+      case 3:
+        return now + 4097;
+      case 4:
+        return now + rng_.UniformInt(int64_t{1}, int64_t{4094});
+      case 5:
+        return now + rng_.UniformInt(int64_t{1}, int64_t{3}) * kMillisecond +
+               rng_.UniformInt(int64_t{0}, int64_t{3});
+      case 6:
+        return now - rng_.UniformInt(int64_t{1}, int64_t{500});  // clamped
+      default:
+        return (now / 1000 + rng_.UniformInt(int64_t{1}, int64_t{8})) * 1000;
+    }
+  }
+
+  // Schedules one callback event at a random time.
+  void ScheduleCallback() {
+    if (budget_-- <= 0) {
+      return;
+    }
+    int id = next_id_++;
+    Nanos when = PickWhen();
+    ref_.Expect(when, id);
+    loop_.ScheduleAt(when, [this, id] {
+      ref_.Ran(id);
+      Body();
+    });
+  }
+
+  // What every event does when it runs: schedule up to two callbacks,
+  // and now and then stop the loop in the middle of whatever is due.
+  void Body() {
+    uint64_t children = rng_.UniformInt(uint64_t{3});
+    for (uint64_t i = 0; i < children; ++i) {
+      ScheduleCallback();
+    }
+    if (rng_.UniformInt(uint64_t{64}) == 0) {
+      ++stops_;
+      loop_.Stop();
+    }
+  }
+
+  // A coroutine that keeps re-queueing its own handle at random times
+  // until the budget runs out, so handle and callback events interleave.
+  Task<> Actor() {
+    while (budget_-- > 0) {
+      int id = next_id_++;
+      Nanos when = PickWhen();
+      ref_.Expect(when, id);
+      co_await ResumeAtAwaiter{loop_, when};
+      ref_.Ran(id);
+      Body();
+    }
+  }
+
+ private:
+  // Unlike Delay, always suspends, even for now or the past.
+  struct ResumeAtAwaiter {
+    EventLoop& loop;
+    Nanos when;
+    bool await_ready() const { return false; }
+    void await_suspend(std::coroutine_handle<> h) const { loop.ResumeAt(when, h); }
+    void await_resume() const {}
+  };
+
+  EventLoop& loop_;
+  ReferenceCalendar ref_;
+  Rng rng_;
+  int budget_;
+  int next_id_ = 0;
+  int stops_ = 0;
+};
+
+TEST(EventLoopTest, WheelAndOverflowMatchAReferenceHeap) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    EventLoop loop;
+    CalendarFuzz fuzz(loop, seed, /*budget=*/0);
+    Rng drive(seed * 7919);
+    for (int round = 0; round < 3; ++round) {
+      fuzz.AddBudget(6000);
+      for (int i = 0; i < 6; ++i) {
+        Spawn(fuzz.Actor());
+        fuzz.ScheduleCallback();
+      }
+      while (loop.pending() > 0 && fuzz.ref().divergence().empty()) {
+        ASSERT_EQ(loop.pending(), fuzz.ref().pending());
+        int stops = fuzz.stops();
+        Nanos before = loop.now();
+        if (drive.UniformInt(uint64_t{4}) == 0) {
+          loop.Run();
+          continue;
+        }
+        // Jumps inside the wheel, onto its horizon, and well past it.
+        static constexpr Nanos kJumps[] = {0,    1,    700,  4095,
+                                           4096, 4097, 9000, 3 * kMillisecond};
+        Nanos deadline = before + kJumps[drive.UniformInt(uint64_t{std::size(kJumps)})];
+        loop.RunUntil(deadline);
+        if (loop.now() != deadline && fuzz.ref().divergence().empty()) {
+          // Only Stop() may leave now() short of the deadline.
+          ASSERT_GT(fuzz.stops(), stops);
+        }
+      }
+      ASSERT_EQ(fuzz.ref().divergence(), "");
+      EXPECT_TRUE(loop.empty());
+      EXPECT_EQ(loop.pending(), 0u);
+      EXPECT_EQ(fuzz.ref().pending(), 0u);
+      EXPECT_EQ(loop.executed(), fuzz.ref().ran());
+      // An empty calendar jumps past the horizon, and the next round
+      // schedules around a now() in a different wheel position.
+      Nanos idle_to = loop.now() + 5000 + static_cast<Nanos>(seed) * 37;
+      loop.RunUntil(idle_to);
+      EXPECT_EQ(loop.now(), idle_to);
+    }
+  }
 }
 
 // --- Coroutine frame recycling ---
