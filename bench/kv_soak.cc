@@ -59,6 +59,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/fnv.h"
 #include "src/core/rack.h"
 #include "src/core/virtual_ssd.h"
 #include "src/kv/loadgen.h"
@@ -231,15 +232,6 @@ struct SoakResult {
   uint64_t executed = 0;
   std::string digest;
 };
-
-uint64_t Fnv1a(const std::string& s) {
-  uint64_t h = 1469598103934665603ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 class Soak {
  public:
@@ -706,7 +698,7 @@ SoakResult RunSoak(bool short_mode, const std::set<std::string>& classes,
                 (unsigned long long)r.executed);
   char hex[32];
   std::snprintf(hex, sizeof hex, "%016llx",
-                (unsigned long long)Fnv1a(r.digest + tail));
+                (unsigned long long)Fnv1a(r.digest + tail, kFnv1aTruncatedOffset));
   r.digest = hex;
 
   if (!json_path.empty() && obs != nullptr) {

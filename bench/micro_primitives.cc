@@ -123,7 +123,7 @@ void BM_RingMessageRoundTrip(benchmark::State& state) {
     auto once = [](msg::RingSender& s, msg::RingReceiver& r, sim::EventLoop& l,
                    std::span<const std::byte> p) -> sim::Task<> {
       // This micro-bench measures the raw SPSC ring, not the endpoint stack.
-      CXLPOOL_CHECK_OK(co_await s.Send(p));  // lint-tasks: allow(direct-ring-send)
+      CXLPOOL_CHECK_OK(co_await s.Send(p));  // simlint: allow(direct-ring-send)
       std::vector<std::byte> got;
       CXLPOOL_CHECK_OK(co_await r.Recv(&got, l.now() + kMillisecond));
     };

@@ -377,69 +377,16 @@ sim::Task<Status> HostAdapter::Store(uint64_t addr, std::span<const std::byte> i
 sim::Task<Status> HostAdapter::StoreNt(uint64_t addr, std::span<const std::byte> in) {
   ++stats_.nt_stores;
   stats_.nt_store_bytes += in.size();
-  auto region_or = ResolveAccess(addr, in.size());
-  if (!region_or.ok()) {
-    co_return region_or.status();
-  }
-  const mem::Region* region = region_or.value();
-  const CxlTiming& t = config_.timing;
-  Nanos now = loop_.now();
+  return PostedWrite(addr, in, &HostAdapter::DropForStoreNt, CoherenceOp::kStoreNt);
+}
 
-  if (region->kind == mem::MemoryKind::kLocalDram) {
-    // Non-temporal store to local DRAM: same visibility, slightly cheaper
-    // than a cached store followed by eviction; model as plain DRAM store.
-    map_.WriteBytes(addr, in);
-    Nanos done = dram_bw_.Acquire(now + t.dram_store, in.size());
-    co_await sim::WaitUntil(loop_, done);
-    co_return OkStatus();
+void HostAdapter::DropForStoreNt(uint64_t line_addr) {
+  // An nt-store over a dirty line discards the cached bytes in favour of
+  // the streamed ones.
+  if (auto ev = cache_.Remove(line_addr); ev && ev->dirty) {
+    ++stats_.lost_dirty_lines;
+    EmitCoherence(CoherenceOp::kDirtyLost, line_addr);
   }
-
-  // Health-check every touched line's route before mutating anything.
-  uint64_t first_line = CachelineFloor(addr);
-  uint64_t n_lines = CachelinesTouched(addr, in.size());
-  LinkTally bytes_per_link;
-  for (uint64_t i = 0; i < n_lines; ++i) {
-    uint64_t laddr = first_line + i * kCachelineSize;
-    auto link_or = RouteCxl(laddr);
-    if (!link_or.ok()) {
-      co_return link_or.status();
-    }
-    bytes_per_link.Add(link_or.value(), kCachelineSize);
-  }
-
-  // Drop any cached copies (an nt-store over a dirty line discards the
-  // cached bytes in favour of the streamed ones).
-  for (uint64_t i = 0; i < n_lines; ++i) {
-    uint64_t laddr = first_line + i * kCachelineSize;
-    if (auto ev = cache_.Remove(laddr); ev && ev->dirty) {
-      ++stats_.lost_dirty_lines;
-      EmitCoherence(CoherenceOp::kDirtyLost, laddr);
-    }
-  }
-
-  Nanos serial_done = now;
-  bytes_per_link.ForEach([&](CxlLink* link, uint64_t bytes) {
-    serial_done = std::max(serial_done, link->to_device().Acquire(now, bytes));
-  });
-  // Posted-write semantics: the CPU only drains its write-combining buffer
-  // onto the link (serial_done); the bytes commit to pool media one write
-  // latency later. Same-line readers in the meantime are held to the
-  // commit time (controller write buffer); other hosts simply cannot
-  // observe the bytes before the commit.
-  Nanos visible_at = pool_.RecordPendingCommit(
-      addr, in.size(), serial_done + JitterCxl(t.cxl_write), now);
-  // CXL 3.0 BI emulation: the device invalidates remote cached copies;
-  // the writer pays one snoop round.
-  int snoops = pool_.BackInvalidate(addr, in.size(), id_);
-  loop_.ScheduleAt(visible_at,
-                   [this, addr, data = std::vector<std::byte>(in.begin(), in.end())] {
-                     map_.WriteBytes(addr, data);
-                   });
-  for (uint64_t i = 0; i < n_lines; ++i) {
-    EmitCoherence(CoherenceOp::kStoreNt, first_line + i * kCachelineSize);
-  }
-  co_await sim::WaitUntil(loop_, serial_done + (snoops > 0 ? t.bi_snoop : 0));
-  co_return OkStatus();
 }
 
 sim::Task<Status> HostAdapter::Flush(uint64_t addr, uint64_t len) {
@@ -585,6 +532,21 @@ sim::Task<Status> HostAdapter::DmaRead(uint64_t addr, std::span<std::byte> out) 
 
 sim::Task<Status> HostAdapter::DmaWrite(uint64_t addr, std::span<const std::byte> in) {
   ++stats_.dma_writes;
+  return PostedWrite(addr, in, &HostAdapter::DropForDmaWrite, CoherenceOp::kDmaWrite);
+}
+
+void HostAdapter::DropForDmaWrite(uint64_t line_addr) {
+  // The root complex snoops this host's cache. Cached copies on OTHER
+  // hosts go stale — the cross-host hazard.
+  if (auto ev = cache_.Remove(line_addr)) {
+    EmitCoherence(ev->dirty ? CoherenceOp::kDirtyLost : CoherenceOp::kInvalidateDrop,
+                  line_addr);
+  }
+}
+
+sim::Task<Status> HostAdapter::PostedWrite(uint64_t addr, std::span<const std::byte> in,
+                                           void (HostAdapter::*drop_cached)(uint64_t),
+                                           CoherenceOp op) {
   auto region_or = ResolveAccess(addr, in.size());
   if (!region_or.ok()) {
     co_return region_or.status();
@@ -594,12 +556,14 @@ sim::Task<Status> HostAdapter::DmaWrite(uint64_t addr, std::span<const std::byte
   Nanos now = loop_.now();
 
   if (region->kind == mem::MemoryKind::kLocalDram) {
+    // Local DRAM is coherent: model the write as a plain DRAM store.
     map_.WriteBytes(addr, in);
     Nanos done = dram_bw_.Acquire(now + t.dram_store, in.size());
     co_await sim::WaitUntil(loop_, done);
     co_return OkStatus();
   }
 
+  // Health-check every touched line's route before mutating anything.
   uint64_t first_line = CachelineFloor(addr);
   uint64_t n_lines = CachelinesTouched(addr, in.size());
   LinkTally bytes_per_link;
@@ -612,33 +576,25 @@ sim::Task<Status> HostAdapter::DmaWrite(uint64_t addr, std::span<const std::byte
     bytes_per_link.Add(link_or.value(), kCachelineSize);
   }
 
-  // Invalidate this host's cached copies (root-complex snoop). Cached
-  // copies on OTHER hosts go stale — the cross-host hazard.
   for (uint64_t i = 0; i < n_lines; ++i) {
-    uint64_t laddr = first_line + i * kCachelineSize;
-    if (auto ev = cache_.Remove(laddr)) {
-      EmitCoherence(ev->dirty ? CoherenceOp::kDirtyLost
-                              : CoherenceOp::kInvalidateDrop,
-                    laddr);
-    }
+    (this->*drop_cached)(first_line + i * kCachelineSize);
   }
 
   Nanos serial_done = now;
   bytes_per_link.ForEach([&](CxlLink* link, uint64_t bytes) {
     serial_done = std::max(serial_done, link->to_device().Acquire(now, bytes));
   });
-  // Device DMA writes are posted like nt-stores: the engine moves on after
-  // link serialization; media commit follows one write latency later and
-  // same-line readers are held to the commit time.
-  Nanos visible_at = pool_.RecordPendingCommit(
-      addr, in.size(), serial_done + JitterCxl(t.cxl_write), now);
+  // Posted-write semantics: the writer only drains its bytes onto the link
+  // (serial_done); the pool commits them to media one write latency later.
+  // Same-line readers in the meantime are held to the commit time
+  // (controller write buffer); other hosts simply cannot observe the bytes
+  // before the commit.
+  pool_.PostWrite(addr, in, serial_done + JitterCxl(t.cxl_write));
+  // CXL 3.0 BI emulation: the device invalidates remote cached copies;
+  // the writer pays one snoop round.
   int snoops = pool_.BackInvalidate(addr, in.size(), id_);
-  loop_.ScheduleAt(visible_at,
-                   [this, addr, data = std::vector<std::byte>(in.begin(), in.end())] {
-                     map_.WriteBytes(addr, data);
-                   });
   for (uint64_t i = 0; i < n_lines; ++i) {
-    EmitCoherence(CoherenceOp::kDmaWrite, first_line + i * kCachelineSize);
+    EmitCoherence(op, first_line + i * kCachelineSize);
   }
   co_await sim::WaitUntil(loop_, serial_done + (snoops > 0 ? t.bi_snoop : 0));
   co_return OkStatus();

@@ -171,6 +171,16 @@ class HostAdapter {
   // Shared flush/invalidate implementation.
   sim::Task<Status> FlushImpl(uint64_t addr, uint64_t len, bool invalidate);
 
+  // Shared StoreNt/DmaWrite implementation: a posted write of `in` that
+  // first applies `drop_cached` to this host's cached copy of each line and
+  // emits `op` for each line once the write is posted.
+  sim::Task<Status> PostedWrite(uint64_t addr, std::span<const std::byte> in,
+                                void (HostAdapter::*drop_cached)(uint64_t),
+                                CoherenceOp op);
+  // The cache-drop rules of StoreNt and DmaWrite.
+  void DropForStoreNt(uint64_t line_addr);
+  void DropForDmaWrite(uint64_t line_addr);
+
   // Writes an evicted dirty line back to the pool (async with respect to
   // the evicting operation). Drops the data if the path is unhealthy.
   void WritebackEvicted(const mem::WriteBackCache::EvictedLine& ev);

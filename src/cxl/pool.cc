@@ -209,36 +209,37 @@ size_t CxlPool::PoisonedLineCount() const {
 
 namespace cxlpool::cxl {
 
-Nanos CxlPool::RecordPendingCommit(uint64_t addr, uint64_t len, Nanos visible_at,
-                                   Nanos now) {
-  // Opportunistic GC: drop entries that have already committed.
-  if (pending_commits_.size() > 8192) {
-    for (auto it = pending_commits_.begin(); it != pending_commits_.end();) {
-      if (it->second <= now) {
-        it = pending_commits_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
+void CxlPool::PostWrite(uint64_t addr, std::span<const std::byte> data,
+                        Nanos visible_at) {
+  Nanos now = loop_.now();
   uint64_t first = CachelineFloor(addr);
-  uint64_t lines = CachelinesTouched(addr, len);
+  uint64_t lines = CachelinesTouched(addr, data.size());
   // Same-address ordering: the controller write buffer drains per-address
   // FIFO, so a write accepted while an earlier same-line write is pending
   // commits no earlier than it. (Equal times are safe: the event loop is
   // FIFO among same-time events, so the later-issued write lands last.)
-  Nanos ordered = visible_at;
+  Nanos commit = visible_at;
   for (uint64_t i = 0; i < lines; ++i) {
     auto it = pending_commits_.find(first + i * kCachelineSize);
     if (it != pending_commits_.end() && it->second > now) {
-      ordered = std::max(ordered, it->second);
+      commit = std::max(commit, it->second);
     }
   }
   for (uint64_t i = 0; i < lines; ++i) {
     Nanos& slot = pending_commits_[first + i * kCachelineSize];
-    slot = std::max(slot, ordered);
+    slot = std::max(slot, commit);
   }
-  return ordered;
+  loop_.ScheduleAt(commit, [this, addr, commit, first, lines,
+                            bytes = std::vector<std::byte>(data.begin(), data.end())] {
+    map_.WriteBytes(addr, bytes);
+    // A line a later write has claimed stays pending until that one lands.
+    for (uint64_t i = 0; i < lines; ++i) {
+      auto it = pending_commits_.find(first + i * kCachelineSize);
+      if (it != pending_commits_.end() && it->second == commit) {
+        pending_commits_.erase(it);
+      }
+    }
+  });
 }
 
 Nanos CxlPool::PendingCommitTime(uint64_t addr, uint64_t len) const {

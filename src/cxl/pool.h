@@ -1,13 +1,15 @@
 // CxlPool: the set of multi-headed devices plus the segment allocator that
 // hands out pool memory to hosts (private segments) and to the datapath
 // (shared, software-coherent segments). Also owns address routing,
-// including 256 B interleaving across several MHDs' links.
+// including 256 B interleaving across several MHDs' links, and the commit
+// of posted writes to pool media.
 #ifndef SRC_CXL_POOL_H_
 #define SRC_CXL_POOL_H_
 
 #include <map>
-#include <unordered_map>
 #include <memory>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/ids.h"
@@ -16,6 +18,7 @@
 #include "src/cxl/params.h"
 #include "src/mem/address_map.h"
 #include "src/mem/cache.h"
+#include "src/sim/event_loop.h"
 
 namespace cxlpool::cxl {
 
@@ -33,8 +36,9 @@ struct PoolSegment {
 class CxlPool {
  public:
   // Registers pool regions into `map` so devices and hosts resolve pool
-  // addresses through the same address space.
-  explicit CxlPool(mem::AddressMap& map) : map_(map) {}
+  // addresses through the same address space. Posted writes commit to
+  // media as events on `loop`.
+  CxlPool(sim::EventLoop& loop, mem::AddressMap& map) : loop_(loop), map_(map) {}
   CxlPool(const CxlPool&) = delete;
   CxlPool& operator=(const CxlPool&) = delete;
 
@@ -91,20 +95,20 @@ class CxlPool {
   // writer).
   int BackInvalidate(uint64_t addr, uint64_t len, HostId writer);
 
-  // --- Posted-write commit tracking (same-address ordering) ---
-  // A posted write (nt-store or device DMA) is accepted quickly but its
-  // data becomes readable at the MHD only at `visible_at`. Readers of a
-  // line with a pending commit are served from the controller's write
-  // buffer: they complete no earlier than the commit and then observe the
-  // new data. Unrelated lines are unaffected (CXL.mem has no cross-address
-  // ordering).
-  // Returns the ORDERED commit time: never earlier than a still-pending
-  // commit to any of the same lines, so back-to-back posted writes to one
-  // address drain per-address FIFO (jitter must not let an older write
-  // land after — and silently revert — a newer one). Callers schedule
-  // their media write at the returned time, not the raw `visible_at`.
-  Nanos RecordPendingCommit(uint64_t addr, uint64_t len, Nanos visible_at, Nanos now);
-  // Latest pending commit time overlapping [addr, addr+len), or 0.
+  // --- Posted writes (same-address ordering) ---
+  // A posted write (nt-store or device DMA) is accepted at once, but its
+  // bytes reach pool media only when it commits. PostWrite copies `data`,
+  // picks the commit time, writes the bytes to media at that time and then
+  // forgets the commit. The commit time is `visible_at` or, if later, the
+  // latest still-pending commit to any of the same lines: back-to-back
+  // posted writes to one address drain per-address FIFO, so jitter cannot
+  // let an older write land after (and silently revert) a newer one.
+  void PostWrite(uint64_t addr, std::span<const std::byte> data, Nanos visible_at);
+  // Latest pending commit time overlapping [addr, addr+len), or 0 if none
+  // is pending. Readers of such a line are served from the controller's
+  // write buffer: they complete no earlier than the commit and then observe
+  // the new data. Unrelated lines are unaffected (CXL.mem has no
+  // cross-address ordering).
   Nanos PendingCommitTime(uint64_t addr, uint64_t len) const;
 
  private:
@@ -113,6 +117,7 @@ class CxlPool {
     bool freed = false;
   };
 
+  sim::EventLoop& loop_;
   mem::AddressMap& map_;
   std::vector<std::unique_ptr<MultiHeadedDevice>> mhds_;
   std::vector<uint64_t> mhd_used_;        // bytes allocated per MHD
@@ -126,8 +131,9 @@ class CxlPool {
   // nodes never move; code that erases a segment must reset it.
   mutable const PoolSegment* last_route_ = nullptr;
   uint64_t next_base_ = kPoolWindowBase;
-  // line address -> commit time of the newest pending posted write.
-  mutable std::unordered_map<uint64_t, Nanos> pending_commits_;
+  // line address -> commit time of the newest posted write still pending
+  // on the line; erased when that write lands.
+  std::unordered_map<uint64_t, Nanos> pending_commits_;
 
   // Back-Invalidate snoop filter state.
   bool back_invalidate_ = false;

@@ -5,23 +5,9 @@
 #include <string>
 
 #include "src/common/check.h"
+#include "src/common/fnv.h"
 
 namespace cxlpool::cxl {
-
-namespace {
-
-// FNV-1a over one 64B line; cheap, deterministic, and collision-safe enough
-// for corruption detection in a simulator.
-uint64_t HashLine(std::span<const std::byte> bytes) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (std::byte b : bytes) {
-    h ^= static_cast<uint64_t>(b);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-}  // namespace
 
 Result<ReplicatedRegion> ReplicatedRegion::Create(CxlPool& pool, uint64_t size,
                                                   int replicas) {
@@ -78,7 +64,7 @@ sim::Task<Status> ReplicatedRegion::Publish(HostAdapter& host, uint64_t offset,
     uint64_t lo = line * kCachelineSize;
     if (lo >= offset && lo + kCachelineSize <= offset + in.size()) {
       line_checksums_[line] =
-          HashLine(in.subspan(lo - offset, kCachelineSize));
+          Fnv1a(in.subspan(lo - offset, kCachelineSize));
       checksum_known_[line] = 1;
     } else {
       checksum_known_[line] = 0;
@@ -156,7 +142,7 @@ sim::Task<Status> ReplicatedRegion::ScrubOnce(HostAdapter& host) {
     if (checksum_known_[line] != 0) {
       for (size_t i = 0; i < n; ++i) {
         if (read_status[i].ok() &&
-            HashLine(data[i]) == line_checksums_[line]) {
+            Fnv1a(data[i]) == line_checksums_[line]) {
           ref = static_cast<int>(i);
           break;
         }
@@ -172,7 +158,7 @@ sim::Task<Status> ReplicatedRegion::ScrubOnce(HostAdapter& host) {
           if (read_status[i].ok()) {
             ref = static_cast<int>(i);
             conflict = true;
-            line_checksums_[line] = HashLine(data[i]);
+            line_checksums_[line] = Fnv1a(data[i]);
             break;
           }
         }

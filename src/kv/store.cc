@@ -3,22 +3,11 @@
 #include <algorithm>
 
 #include "src/common/check.h"
+#include "src/common/fnv.h"
 
 namespace cxlpool::kv {
 
 namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-uint64_t Fnv1a(const std::string& s) {
-  uint64_t h = kFnvOffset;
-  for (char c : s) {
-    h ^= static_cast<uint8_t>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 // Releases the shard gate on every exit path of an op coroutine.
 struct GateGuard {
@@ -80,7 +69,7 @@ Store::Store(stack::BufferPool* pool, core::VirtualSsd* ssd,
 }
 
 size_t Store::ShardOf(const std::string& key) const {
-  return static_cast<size_t>(Fnv1a(key) % shards_.size());
+  return static_cast<size_t>(Fnv1a(key, kFnv1aTruncatedOffset) % shards_.size());
 }
 
 uint32_t Store::SectorsPerSlot() const {

@@ -23,7 +23,7 @@ namespace cxlpool::msg {
 // ring is fed by a single drainer that write-combines staged frames into
 // batched nt-stores). A lone producer drains itself immediately, so the
 // single-producer cost is unchanged. Code outside src/msg must use this
-// path, never RingSender::Send directly (enforced by lint_tasks.py's
+// path, never RingSender::Send directly (enforced by simlint's
 // direct-ring-send rule) — concurrent direct sends corrupt the shared
 // head across suspension points.
 class Endpoint {

@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "src/common/check.h"
+#include "src/common/fnv.h"
 #include "src/sim/logger.h"
 
 namespace cxlpool::sim {
@@ -161,11 +162,7 @@ Task<> ChaosInjector::RunPlan(StopToken& stop) {
 std::string ChaosInjector::TraceDigest() const {
   // FNV-1a over the executed trace plus headline counters: cheap, stable,
   // and any cross-run divergence (ordering, timing, outcome) changes it.
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : trace_) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
+  uint64_t h = Fnv1a(trace_);
   char hex[17];
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(h));

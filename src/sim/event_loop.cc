@@ -1,7 +1,6 @@
 #include "src/sim/event_loop.h"
 
 #include <bit>
-#include <utility>
 
 #include "src/common/check.h"
 
@@ -39,25 +38,9 @@ void EventLoop::Push(Nanos when, uintptr_t target) {
   ++wheel_count_;
 }
 
-void EventLoop::ScheduleAt(Nanos when, Callback cb) {
-  CXLPOOL_DCHECK(cb != nullptr);
-  uintptr_t slot;
-  if (free_slots_.empty()) {
-    slot = callbacks_.size();
-    callbacks_.push_back(std::move(cb));
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    callbacks_[slot] = std::move(cb);
-  }
-  Push(when, (slot << 1) | 1);
-}
-
 void EventLoop::ResumeAt(Nanos when, std::coroutine_handle<> h) {
   CXLPOOL_DCHECK(h);
-  auto target = reinterpret_cast<uintptr_t>(h.address());
-  CXLPOOL_DCHECK((target & 1) == 0);
-  Push(when, target);
+  Push(when, reinterpret_cast<uintptr_t>(h.address()));
 }
 
 bool EventLoop::FindNext(Next& next) const {
@@ -110,17 +93,7 @@ void EventLoop::RunOne(const Next& next) {
   }
   now_ = next.when;
   ++executed_;
-  if ((target & 1) == 0) {
-    std::coroutine_handle<>::from_address(reinterpret_cast<void*>(target)).resume();
-    return;
-  }
-  // The callback may schedule more callbacks and grow the table, so it is
-  // moved out and its slot freed before it runs.
-  uintptr_t slot = target >> 1;
-  Callback cb = std::move(callbacks_[slot]);
-  callbacks_[slot] = nullptr;
-  free_slots_.push_back(slot);
-  cb();
+  std::coroutine_handle<>::from_address(reinterpret_cast<void*>(target)).resume();
 }
 
 void EventLoop::Run() {

@@ -3,10 +3,10 @@
 // concurrency in the simulated system is expressed with coroutines
 // (src/sim/task.h), not OS threads.
 //
-// The calendar holds small trivially-copyable items. An item's target is
-// either a coroutine to resume (the common case: every Delay and every
-// Event wake-up) or a slot in a recycled table of callbacks, so the
-// per-event path neither allocates nor moves std::function objects around.
+// The calendar holds small trivially-copyable items, and every item's
+// target is a coroutine to resume: a Delay, an Event wake-up, or the
+// one-shot frame ScheduleAt wraps a callable in. Those frames come from
+// the recycled FramePool, so the loop itself allocates nothing per event.
 //
 // Events due within kWheelSize ns of now() sit in a timing wheel with one
 // bucket per nanosecond; later ones wait in a binary heap. Every wheel
@@ -20,15 +20,39 @@
 #include <array>
 #include <coroutine>
 #include <cstdint>
-#include <functional>
+#include <exception>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "src/common/units.h"
+#include "src/sim/frame_pool.h"
 
 namespace cxlpool::sim {
 
-using Callback = std::function<void()>;
+namespace task_internal {
+// A coroutine that starts suspended, runs once when resumed and frees its
+// own frame when it ends: ScheduleAt's callback frames and Spawn's driver.
+struct OneShot {
+  struct promise_type : PooledFrame {
+    OneShot get_return_object() {
+      return {std::coroutine_handle<promise_type>::from_promise(*this)};
+    }
+    std::suspend_always initial_suspend() noexcept { return {}; }
+    std::suspend_never final_suspend() noexcept { return {}; }
+    void return_void() {}
+    void unhandled_exception() { std::terminate(); }
+  };
+  std::coroutine_handle<> handle;
+};
+
+// Runs `f` once when resumed.
+template <typename F>
+OneShot RunOnce(F f) {
+  f();
+  co_return;
+}
+}  // namespace task_internal
 
 class EventLoop {
  public:
@@ -39,12 +63,21 @@ class EventLoop {
   // Current simulated time. Starts at 0.
   Nanos now() const { return now_; }
 
-  // Runs `cb` at absolute simulated time `when` (clamped to now()).
-  // Events scheduled for the same instant run in scheduling order.
-  void ScheduleAt(Nanos when, Callback cb);
+  // Runs `f()` at absolute simulated time `when` (clamped to now()).
+  // Events scheduled for the same instant run in scheduling order. `f`
+  // lives in a one-shot coroutine frame until it has run; a frame still
+  // pending when the loop is destroyed is leaked, like a pending detached
+  // actor. An exception escaping `f` terminates.
+  template <typename F>
+  void ScheduleAt(Nanos when, F f) {
+    ResumeAt(when, task_internal::RunOnce(std::move(f)).handle);
+  }
 
-  // Runs `cb` after `delay` nanoseconds of simulated time.
-  void Schedule(Nanos delay, Callback cb) { ScheduleAt(now_ + delay, std::move(cb)); }
+  // Runs `f()` after `delay` nanoseconds of simulated time.
+  template <typename F>
+  void Schedule(Nanos delay, F f) {
+    ScheduleAt(now_ + delay, std::move(f));
+  }
 
   // Resumes coroutine `h` at absolute simulated time `when` (clamped to
   // now()). Shares the same-instant FIFO order with ScheduleAt.
@@ -77,8 +110,7 @@ class EventLoop {
   static constexpr size_t kWheelMask = kWheelSize - 1;
   static constexpr uint32_t kNil = UINT32_MAX;
 
-  // `target` is a coroutine frame address (frames are at least 8-byte
-  // aligned, so bit 0 is clear) or (callback slot << 1) | 1.
+  // `target` is the address of the coroutine frame to resume.
   struct Item {
     Nanos when;
     uint64_t seq;  // tie-breaker: FIFO among same-time events
@@ -125,8 +157,6 @@ class EventLoop {
   size_t wheel_count_ = 0;
   std::priority_queue<Item, std::vector<Item>, Later> overflow_;
 
-  std::vector<Callback> callbacks_;
-  std::vector<uintptr_t> free_slots_;
   Nanos now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;

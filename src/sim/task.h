@@ -19,12 +19,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <new>
 #include <optional>
 #include <utility>
 
 #include "src/common/check.h"
 #include "src/sim/event_loop.h"
+#include "src/sim/frame_pool.h"
 
 namespace cxlpool::sim {
 
@@ -32,78 +32,6 @@ template <typename T>
 class Task;
 
 namespace task_internal {
-
-// True when built with AddressSanitizer (GCC defines the macro, Clang
-// answers __has_feature). Frame recycling is off then; see FramePool.
-#if defined(__SANITIZE_ADDRESS__)
-inline constexpr bool kUnderAsan = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-inline constexpr bool kUnderAsan = true;
-#else
-inline constexpr bool kUnderAsan = false;
-#endif
-#else
-inline constexpr bool kUnderAsan = false;
-#endif
-
-// Coroutine frame allocator. An actor that awaits in a loop creates and
-// destroys the same child frames millions of times per run, so frames are
-// recycled through per-thread free lists in 64 B size classes; frames
-// larger than the biggest class go straight to ::operator new. Cached
-// frames are never returned to the host allocator. Under AddressSanitizer
-// recycling is compiled out, so every frame is really freed and a use of a
-// finished coroutine's frame is still reported.
-class FramePool {
- public:
-  static constexpr bool kEnabled = !kUnderAsan;
-  static constexpr size_t kClassBytes = 64;
-  static constexpr size_t kClasses = 32;  // frames up to 2 KiB
-
-  static void* Allocate(size_t n) {
-    if constexpr (kEnabled) {
-      size_t c = (n - 1) / kClassBytes;
-      if (c < kClasses) {
-        if (FreeFrame* f = tls_.free[c]) {
-          tls_.free[c] = f->next;
-          return f;
-        }
-        return ::operator new((c + 1) * kClassBytes);
-      }
-    }
-    return ::operator new(n);
-  }
-
-  static void Release(void* p, size_t n) noexcept {
-    if constexpr (kEnabled) {
-      size_t c = (n - 1) / kClassBytes;
-      if (c < kClasses) {
-        auto* f = static_cast<FreeFrame*>(p);
-        f->next = tls_.free[c];
-        tls_.free[c] = f;
-        return;
-      }
-    }
-    ::operator delete(p, n);
-  }
-
- private:
-  struct FreeFrame {
-    FreeFrame* next;
-  };
-  struct State {
-    FreeFrame* free[kClasses];
-  };
-  static constinit inline thread_local State tls_{};
-};
-
-// Routes a promise type's frame allocation through FramePool.
-struct PooledFrame {
-  static void* operator new(size_t n) { return FramePool::Allocate(n); }
-  static void operator delete(void* p, size_t n) noexcept {
-    FramePool::Release(p, n);
-  }
-};
 
 struct PromiseBase : PooledFrame {
   std::coroutine_handle<> continuation;
@@ -213,27 +141,15 @@ Task<T> Promise<T>::get_return_object() {
 inline Task<void> Promise<void>::get_return_object() {
   return Task<void>(std::coroutine_handle<Promise<void>>::from_promise(*this));
 }
-}  // namespace task_internal
 
-namespace task_internal {
 // Self-destroying driver coroutine used by Spawn().
-struct Detached {
-  struct promise_type : PooledFrame {
-    Detached get_return_object() { return {}; }
-    std::suspend_never initial_suspend() noexcept { return {}; }
-    std::suspend_never final_suspend() noexcept { return {}; }
-    void return_void() {}
-    void unhandled_exception() { std::terminate(); }
-  };
-};
-
-inline Detached Drive(Task<> task) { co_await std::move(task); }
+inline OneShot Drive(Task<> task) { co_await std::move(task); }
 }  // namespace task_internal
 
 // Runs `task` as a detached actor. The task starts immediately (it runs
 // until its first suspension point before Spawn returns) and cleans itself
 // up on completion. An exception escaping a detached task terminates.
-inline void Spawn(Task<> task) { task_internal::Drive(std::move(task)); }
+inline void Spawn(Task<> task) { task_internal::Drive(std::move(task)).handle.resume(); }
 
 // Suspends the awaiting coroutine for `delay` nanoseconds of simulated
 // time. A non-positive delay continues synchronously without a round trip

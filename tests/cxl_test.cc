@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <vector>
 
@@ -254,6 +255,97 @@ TEST_F(CxlPodTest, NtStoreImmediatelyVisible) {
     co_return static_cast<int>(seen[0]);
   };
   EXPECT_EQ(RunBlocking(loop_, t(pod_.host(0), pod_.host(1), a, payload)), 9);
+}
+
+// --- Posted-write contract: per-line FIFO commits, readers held to the
+// commit, nothing pending once it has landed ---
+
+TEST_F(CxlPodTest, BackToBackNtStoresToOneLineLandInIssueOrder) {
+  sim::EventLoop loop;
+  CxlPodConfig config = MakeConfig();
+  // Jitter wide enough that a later write's own commit time often falls
+  // before its predecessor's.
+  config.timing.cxl_jitter_sigma = 2.0;
+  CxlPod pod(loop, config);
+  constexpr int kLines = 64;
+  auto seg = pod.pool().Allocate(kLines * kCachelineSize);
+  ASSERT_TRUE(seg.ok());
+
+  auto t = [](HostAdapter& w, CxlPool& pool, uint64_t base) -> Task<int> {
+    int held_back = 0;
+    for (int i = 0; i < kLines; ++i) {
+      uint64_t a = base + static_cast<uint64_t>(i) * kCachelineSize;
+      CXLPOOL_CHECK_OK(co_await w.StoreNt(a, Fill(kCachelineSize, 1)));
+      Nanos older = pool.PendingCommitTime(a, kCachelineSize);
+      CXLPOOL_CHECK_OK(co_await w.StoreNt(a, Fill(kCachelineSize, 2)));
+      // Still pending behind the older write's commit time: held back.
+      if (older > w.loop().now() &&
+          pool.PendingCommitTime(a, kCachelineSize) == older) {
+        ++held_back;
+      }
+    }
+    co_await sim::Delay(w.loop(), 100 * kMicrosecond);
+    co_return held_back;
+  };
+  // Some newer writes were held back to their predecessor's commit time.
+  EXPECT_GT(RunBlocking(loop, t(pod.host(0), pod.pool(), seg->base)), 0);
+  for (int i = 0; i < kLines; ++i) {
+    std::vector<std::byte> media(kCachelineSize);
+    pod.host(1).PeekBackend(seg->base + static_cast<uint64_t>(i) * kCachelineSize,
+                            media);
+    EXPECT_EQ(media, Fill(kCachelineSize, 2)) << "line " << i;
+  }
+}
+
+TEST_F(CxlPodTest, LoadIssuedBeforeCommitWaitsForItAndSeesNewBytes) {
+  auto seg = pod_.pool().Allocate(4096);
+  ASSERT_TRUE(seg.ok());
+  struct Seen {
+    Nanos commit;
+    Nanos issued;
+    Nanos done;
+    int value;
+  };
+  auto t = [](HostAdapter& writer, HostAdapter& reader, CxlPool& pool,
+              uint64_t addr) -> Task<Seen> {
+    auto payload = Bytes({6, 6, 6, 6});
+    CXLPOOL_CHECK_OK(co_await writer.StoreNt(addr, payload));
+    Seen s{};
+    s.commit = pool.PendingCommitTime(addr, 4);
+    s.issued = reader.loop().now();
+    std::array<std::byte, 4> got{};
+    CXLPOOL_CHECK_OK(co_await reader.Load(addr, got));
+    s.done = reader.loop().now();
+    s.value = static_cast<int>(got[0]);
+    co_return s;
+  };
+  Seen s = RunBlocking(loop_, t(pod_.host(0), pod_.host(1), pod_.pool(), seg->base));
+  EXPECT_LT(s.issued, s.commit);  // the load really is issued first
+  EXPECT_GE(s.done, s.commit);
+  EXPECT_EQ(s.value, 6);
+}
+
+TEST_F(CxlPodTest, LandedPostedWriteLeavesNothingPending) {
+  auto seg = pod_.pool().Allocate(4096);
+  ASSERT_TRUE(seg.ok());
+  auto t = [](HostAdapter& h, CxlPool& pool, uint64_t addr, bool dma) -> Task<int> {
+    auto payload = Fill(2 * kCachelineSize, 4);
+    if (dma) {
+      CXLPOOL_CHECK_OK(co_await h.DmaWrite(addr, payload));
+    } else {
+      CXLPOOL_CHECK_OK(co_await h.StoreNt(addr, payload));
+    }
+    Nanos commit = pool.PendingCommitTime(addr, payload.size());
+    CXLPOOL_CHECK(commit > h.loop().now());
+    co_await sim::WaitUntil(h.loop(), commit);  // queued after the commit
+    std::array<std::byte, 1> media{};
+    h.PeekBackend(addr + kCachelineSize, media);
+    CXLPOOL_CHECK(media[0] == std::byte{4});
+    co_return static_cast<int>(pool.PendingCommitTime(addr, payload.size()));
+  };
+  EXPECT_EQ(RunBlocking(loop_, t(pod_.host(0), pod_.pool(), seg->base, false)), 0);
+  EXPECT_EQ(RunBlocking(loop_, t(pod_.host(0), pod_.pool(), seg->base + 1024, true)),
+            0);
 }
 
 TEST_F(CxlPodTest, StaleCachedLoadNeedsInvalidate) {

@@ -186,14 +186,14 @@ TEST(TracerTest, UntracedParentYieldsInertSpan) {
   EXPECT_TRUE(tracer.spans().empty());
 
   // Null-tracer helpers are inert too.
-  Span none = MaybeStartTrace(nullptr, "op", 1, 10);  // lint-tasks: allow(leaked-span)
+  Span none = MaybeStartTrace(nullptr, "op", 1, 10);  // simlint: allow(leaked-span)
   EXPECT_FALSE(none.active());
 }
 
 TEST(TracerTest, DroppedSpansAreCountedNotExported) {
   Tracer tracer;
   {
-    Span leaked = tracer.StartTrace("op", 1, 10);  // lint-tasks: allow(leaked-span)
+    Span leaked = tracer.StartTrace("op", 1, 10);  // simlint: allow(leaked-span)
     // BUG (deliberate): never ended; destructor abandons it.
   }
   EXPECT_EQ(tracer.spans().size(), 0u);
@@ -305,7 +305,7 @@ TEST(ObservabilityTest, TracingOffMeansNullTracer) {
   Observability obs(opts);
   EXPECT_EQ(obs.tracer(), nullptr);
   // Hook sites degrade to inert spans.
-  Span s = MaybeStartTrace(obs.tracer(), "op", 0, 0);  // lint-tasks: allow(leaked-span)
+  Span s = MaybeStartTrace(obs.tracer(), "op", 0, 0);  // simlint: allow(leaked-span)
   EXPECT_FALSE(s.active());
 }
 

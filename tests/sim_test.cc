@@ -128,11 +128,12 @@ TEST(EventLoopTest, CallbackCanReuseItsOwnSlotWhileRunning) {
   EventLoop loop;
   std::vector<std::string> seen;
   // The capture is long enough to live on the heap: if the running
-  // callback were overwritten in place, reading it afterwards would fail.
+  // callback's frame were freed or reused before it returned, reading the
+  // capture afterwards would fail.
   std::string tag = "first callback, long enough to need a heap buffer";
   loop.Schedule(10, [&loop, &seen, tag] {
-    // The slot this callback came from is free again: the next schedule
-    // takes it, and a burst grows the table underneath the running call.
+    // Schedules made while a callback runs take frames of their own; a
+    // burst of them allocates underneath the running call.
     loop.Schedule(0, [&seen] { seen.push_back("reused slot"); });
     for (int i = 0; i < 64; ++i) {
       loop.Schedule(5, [&seen, i] { seen.push_back("burst " + std::to_string(i)); });

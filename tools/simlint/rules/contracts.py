@@ -1,6 +1,6 @@
 """Result- and status-contract rules.
 
-discarded-result         (ported from lint_tasks.py, PR 3)
+discarded-result         (ported from the line-regex linter)
 overloaded-never-retried (new; the PR 6 overload contract)
 lease-check-after-await  (new; the PR 9 fencing contract)
 """

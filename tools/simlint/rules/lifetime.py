@@ -1,6 +1,6 @@
 """Coroutine-lifetime rules.
 
-dangling-frame               (ported from lint_tasks.py, PR 1)
+dangling-frame               (ported from the line-regex linter)
 member-read-after-await      (new; the PR 5 rebind use-after-free class)
 ref-capture-across-suspension(new; [&] lambdas whose frame outlives the
                               captures' owners)

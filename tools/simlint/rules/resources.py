@@ -1,7 +1,7 @@
 """Resource-discipline rules.
 
-leaked-span      (ported from lint_tasks.py, PR 5)
-direct-ring-send (ported from lint_tasks.py, PR 7)
+leaked-span      (ported from the line-regex linter)
+direct-ring-send (ported from the line-regex linter)
 """
 
 from . import is_msg_internal, is_test_path

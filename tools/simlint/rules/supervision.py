@@ -1,7 +1,7 @@
 """Supervision and ordering rules.
 
-unstoppable-loop  (ported from lint_tasks.py, PR 4)
-missing-deadline  (ported from lint_tasks.py, PR 6)
+unstoppable-loop  (ported from the line-regex linter)
+missing-deadline  (ported from the line-regex linter)
 """
 
 import re

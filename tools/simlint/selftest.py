@@ -6,7 +6,7 @@ findings are compared EXACTLY against the file's ``// simlint-expect:
 other line of the corpus. Clean exemplars simply carry no annotations —
 any finding in them is a false-positive regression.
 
-This is deliberately stricter than the old lint_tasks.py self-test
+This is deliberately stricter than the old line-regex linter's self-test
 (which only checked that each rule fired *somewhere*): pinning findings
 to lines catches both silently-dead rules and anchor drift.
 """

@@ -2,7 +2,7 @@
 // sits where a LINE-REGEX engine sees it but a real lexer must not —
 // string literals, raw strings, comments, `#if 0` regions, and macro
 // continuation lines. This file carries ZERO simlint-expect annotations:
-// ANY finding here is a lexer regression. (The old lint_tasks.py needed
+// ANY finding here is a lexer regression. (The old line-regex linter needed
 // per-rule workarounds for exactly these shapes and still leaked.)
 #include <cstdint>
 #include <vector>

@@ -106,11 +106,11 @@ class LexerPreprocessor(unittest.TestCase):
 
 
 class LexerSideTables(unittest.TestCase):
-    def test_allow_comment_both_spellings(self):
+    def test_allow_comment(self):
         import tempfile
         from simlint.lexer import lex_file
         src = ("x;  // simlint: allow(missing-deadline)\n"
-               "y;  // lint-tasks: allow(leaked-span, dangling-frame)\n")
+               "y;  // simlint: allow(leaked-span, dangling-frame)\n")
         with tempfile.NamedTemporaryFile("w", suffix=".cc",
                                          delete=False) as f:
             f.write(src)
