@@ -272,6 +272,8 @@ int main(int argc, char** argv) {
 
   rack.Shutdown();
   loop.RunFor(500 * kMicrosecond);
+  std::printf("event count (%llu)\n",
+              static_cast<unsigned long long>(loop.executed()));
   CXLPOOL_CHECK(rack.pod().TotalLostDirtyLines() == 0);
   return 0;
 }

@@ -199,7 +199,6 @@ int main(int argc, char** argv) {
   // already dead when its turn comes and goodput collapses to zero under
   // sustained overload (bufferbloat). 16 * ~2us ~= 32us < 50us.
   rc.orch.mmio_client.max_pending = 16;
-  rc.orch.mmio_client.overflow = msg::OverflowPolicy::kRejectNew;
   rc.orch.mmio_retry.max_attempts = 3;
   rc.orch.mmio_retry.budget_ratio = 0.1;
   rc.orch.mmio_retry.budget_burst = 10.0;
@@ -291,10 +290,8 @@ int main(int argc, char** argv) {
   const msg::AdmissionController::Stats& ad = home_agent->admission().stats();
   msg::CircuitBreaker* breaker = rack.orchestrator().breaker(kDev);
   CXLPOOL_CHECK(breaker != nullptr);
-  std::printf("\nclient queue: %llu rejected, %llu dropped-oldest, "
-              "%llu expired in queue\n",
+  std::printf("\nclient queue: %llu rejected, %llu expired in queue\n",
               static_cast<unsigned long long>(cs.rejected),
-              static_cast<unsigned long long>(cs.dropped_oldest),
               static_cast<unsigned long long>(cs.expired_in_queue));
   std::printf("home agent:   %llu codel sheds, %llu inflight rejects, "
               "%llu expired at dequeue, %llu expired pre-BAR\n",
@@ -394,6 +391,8 @@ int main(int argc, char** argv) {
 
   rack.Shutdown();
   loop.RunFor(500 * kMicrosecond);
+  std::printf("event count (%llu)\n",
+              static_cast<unsigned long long>(loop.executed()));
   CXLPOOL_CHECK(rack.pod().TotalLostDirtyLines() == 0);
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "src/core/virtual_nic.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "src/common/check.h"
 #include "src/msg/wire.h"
@@ -29,9 +30,7 @@ VirtualNic::VirtualNic(cxl::HostAdapter& host, std::unique_ptr<MmioPath> mmio,
       rx_backoff_(config.poll_min, config.poll_max),
       tx_backoff_(config.poll_min, config.poll_max),
       rx_shadow_(config.rx_entries, 0),
-      rx_doorbell_(host.loop(),
-                   [this](uint64_t value) { return RxDoorbellWrite(value); },
-                   {.watermark = config.rx_doorbell_batch}) {}
+      rx_doorbell_(config.rx_doorbell_batch) {}
 
 VirtualNic::~VirtualNic() {
   if (owns_segment_) {
@@ -177,11 +176,17 @@ sim::Task<Status> VirtualNic::PostRxBuffer(uint64_t buf_addr, uint32_t buf_len) 
   rx_shadow_[idx] = buf_addr;
   ++rx_posted_;
   ++stats_.rx_posted;
-  co_return co_await rx_doorbell_.Offer(rx_posted_);
+  if (std::optional<uint64_t> ring = rx_doorbell_.Offer(rx_posted_)) {
+    co_return co_await RxDoorbellWrite(*ring);
+  }
+  co_return OkStatus();
 }
 
 sim::Task<Status> VirtualNic::FlushRxDoorbell() {
-  co_return co_await rx_doorbell_.Flush();
+  if (std::optional<uint64_t> ring = rx_doorbell_.ForceFlush()) {
+    co_return co_await RxDoorbellWrite(*ring);
+  }
+  co_return OkStatus();
 }
 
 sim::Task<Status> VirtualNic::RxDoorbellWrite(uint64_t value) {

@@ -78,10 +78,6 @@ class VirtualNic {
   // forces the pending value out.
   sim::Task<Status> PostRxBuffer(uint64_t buf_addr, uint32_t buf_len);
   sim::Task<Status> FlushRxDoorbell();
-  // Batching/fold stats for the RX doorbell (rings, coalesced, ...).
-  const msg::DoorbellCoalescer::Stats& rx_doorbell_stats() const {
-    return rx_doorbell_.stats();
-  }
 
   // Waits for the next received frame until `deadline` (absolute).
   sim::Task<Result<RxEvent>> PollRx(Nanos deadline);
@@ -105,7 +101,7 @@ class VirtualNic {
   void ComputeLayout(uint64_t base);
   // Programs ring registers + zeroes completion structures.
   sim::Task<Status> ProgramDevice();
-  // Ring action behind rx_doorbell_: one MMIO write of the folded value.
+  // One MMIO write of a value rx_doorbell_ returned to ring.
   sim::Task<Status> RxDoorbellWrite(uint64_t value);
 
   cxl::HostAdapter& host_;
@@ -133,9 +129,8 @@ class VirtualNic {
   uint64_t rx_posted_ = 0;
   uint64_t rx_cpl_next_ = 0;
   std::vector<uint64_t> rx_shadow_;  // ring idx -> posted buffer addr
-  // RX doorbell MMIO writes, folded per rx_doorbell_batch. Watermark-only
-  // (max_delay = 0): rings happen synchronously inside PostRxBuffer /
-  // FlushRxDoorbell frames, so the `this` capture in the ring fn is safe.
+  // RX doorbell values, folded per rx_doorbell_batch; PostRxBuffer and
+  // FlushRxDoorbell ring what it returns.
   msg::DoorbellCoalescer rx_doorbell_;
 
   Stats stats_;

@@ -537,8 +537,12 @@ sim::Task<Status> HostAdapter::DmaWrite(uint64_t addr, std::span<const std::byte
 
 void HostAdapter::DropForDmaWrite(uint64_t line_addr) {
   // The root complex snoops this host's cache. Cached copies on OTHER
-  // hosts go stale — the cross-host hazard.
+  // hosts go stale — the cross-host hazard. A dirty copy is dropped whole,
+  // so its bytes outside the DMA range are lost: count them like StoreNt.
   if (auto ev = cache_.Remove(line_addr)) {
+    if (ev->dirty) {
+      ++stats_.lost_dirty_lines;
+    }
     EmitCoherence(ev->dirty ? CoherenceOp::kDirtyLost : CoherenceOp::kInvalidateDrop,
                   line_addr);
   }

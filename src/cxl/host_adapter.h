@@ -60,8 +60,8 @@ class HostAdapter {
     uint64_t invalidates = 0;
     uint64_t dma_reads = 0;
     uint64_t dma_writes = 0;
-    // Dirty lines dropped because an nt-store overwrote them, or because a
-    // writeback target was unreachable. Nonzero values indicate a protocol
+    // Dirty lines dropped because an nt-store or a device DMA write
+    // overwrote them, or because a writeback target was unreachable. Nonzero values indicate a protocol
     // bug in the code under test.
     uint64_t lost_dirty_lines = 0;
     // Loads / DMA reads that hit a poisoned media line and returned

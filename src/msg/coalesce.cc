@@ -1,90 +1,55 @@
 #include "src/msg/coalesce.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace cxlpool::msg {
 
-DoorbellCoalescer::DoorbellCoalescer(sim::EventLoop& loop, RingFn ring,
-                                     Options options)
-    : options_(options), state_(std::make_shared<State>(loop)) {
-  if (options_.watermark == 0) {
-    options_.watermark = 1;
+std::optional<uint64_t> DoorbellCoalescer::Take() {
+  if (!dirty_) {
+    return std::nullopt;
   }
-  state_->ring = std::move(ring);
-}
-
-DoorbellCoalescer::~DoorbellCoalescer() { state_->closed = true; }
-
-sim::Task<Status> DoorbellCoalescer::FlushNow(std::shared_ptr<State> s) {
-  if (!s->dirty) {
-    co_return OkStatus();
-  }
-  uint64_t value = s->pending;
-  uint64_t folded = s->since_flush;
-  s->dirty = false;
-  s->since_flush = 0;
-  if (value <= s->last_rung) {
+  uint64_t value = pending_;
+  uint64_t folded = since_flush_;
+  dirty_ = false;
+  since_flush_ = 0;
+  if (value <= last_rung_) {
     // Nothing beyond what the consumer already saw — e.g. a forced flush
-    // racing a watermark flush. Ringing a non-advancing value would break
+    // after a watermark flush. Ringing a non-advancing value would break
     // the monotone contract, so drop it.
-    s->stats.skipped_stale += 1;
-    s->stats.coalesced += folded;
-    co_return OkStatus();
+    stats_.skipped_stale += 1;
+    stats_.coalesced += folded;
+    return std::nullopt;
   }
-  s->stats.rings += 1;
-  s->stats.coalesced += folded > 0 ? folded - 1 : 0;
-  s->last_rung = value;
-  // The ring fn is copied into this frame: `s` keeps the State alive, and
-  // a coalescer destroyed mid-ring only flips `closed` (checked by the
-  // timer path before entering here).
-  RingFn ring = s->ring;
-  co_return co_await ring(value);
+  stats_.rings += 1;
+  stats_.coalesced += folded > 0 ? folded - 1 : 0;
+  last_rung_ = value;
+  return value;
 }
 
-sim::Task<> DoorbellCoalescer::DeadlineFlush(std::shared_ptr<State> s,
-                                             Nanos delay) {
-  co_await sim::Delay(s->loop, delay);
-  s->timer_armed = false;
-  if (s->closed || !s->dirty) {
-    co_return;
+std::optional<uint64_t> DoorbellCoalescer::Offer(uint64_t value) {
+  stats_.offered += 1;
+  pending_ = std::max(pending_, value);
+  since_flush_ += 1;
+  dirty_ = true;
+  if (since_flush_ < watermark_) {
+    return std::nullopt;
   }
-  s->stats.deadline_flushes += 1;
-  // A dying CXL/MMIO path cannot be reported to anyone from a detached
-  // timer; the next explicit Offer/Flush on the same path surfaces it.
-  Status st = co_await FlushNow(s);
-  (void)st;
+  stats_.watermark_flushes += 1;
+  return Take();
 }
 
-sim::Task<Status> DoorbellCoalescer::Offer(uint64_t value) {
-  State& s = *state_;
-  s.stats.offered += 1;
-  s.pending = std::max(s.pending, value);
-  s.since_flush += 1;
-  s.dirty = true;
-  if (s.since_flush >= options_.watermark) {
-    s.stats.watermark_flushes += 1;
-    co_return co_await FlushNow(state_);
+std::optional<uint64_t> DoorbellCoalescer::ForceFlush() {
+  if (dirty_) {
+    stats_.forced_flushes += 1;
   }
-  if (options_.max_delay > 0 && !s.timer_armed) {
-    s.timer_armed = true;
-    sim::Spawn(DeadlineFlush(state_, options_.max_delay));
-  }
-  co_return OkStatus();
-}
-
-sim::Task<Status> DoorbellCoalescer::Flush() {
-  if (state_->dirty) {
-    state_->stats.forced_flushes += 1;
-  }
-  co_return co_await FlushNow(state_);
+  return Take();
 }
 
 void DoorbellCoalescer::Reset() {
-  state_->pending = 0;
-  state_->last_rung = 0;
-  state_->since_flush = 0;
-  state_->dirty = false;
+  pending_ = 0;
+  last_rung_ = 0;
+  since_flush_ = 0;
+  dirty_ = false;
 }
 
 }  // namespace cxlpool::msg

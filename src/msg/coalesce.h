@@ -1,21 +1,16 @@
-// DoorbellCoalescer: folds N pending doorbell rings into one non-temporal
-// store of the maximum value.
+// DoorbellCoalescer: folds N pending doorbell rings into one ring of the
+// maximum value.
 //
 // A doorbell carries no payload — only "progress advanced to N" — so
 // consecutive rings are perfectly mergeable: ringing the max once is
 // observationally identical to ringing every intermediate value, at one
-// nt-store (or one forwarded MMIO RPC) instead of N. The flush policy is
-// watermark-or-deadline:
+// MMIO write (or one forwarded MMIO RPC) instead of N. VirtualNic's RX
+// doorbell folds its buffer posts through one of these.
 //
-//   * watermark  — flush when this many offers accumulated (pure count
-//                  batching, e.g. RX buffer posting);
-//   * max_delay  — arm a timer on the first pending offer and flush when
-//                  it lapses, so a trickle of offers is never deferred
-//                  longer than max_delay (the hard latency bound).
-//
-// The ring action is injected as a function so the same policy + stats
-// cover both flavors of doorbell in the tree: a msg::DoorbellSender CXL
-// line and a forwarded MMIO register write (VirtualNic's RX doorbell).
+// The coalescer is a synchronous fold: Offer() and ForceFlush() return
+// the value the caller must ring now, or nothing. The caller performs the
+// ring itself. Offers flush when `watermark` of them have accumulated
+// (pure count batching); ForceFlush() forces the pending value out.
 //
 // Values are folded with max() and a flush that would not advance past
 // the last rung value is skipped entirely — rung values are strictly
@@ -24,88 +19,52 @@
 #ifndef SRC_MSG_COALESCE_H_
 #define SRC_MSG_COALESCE_H_
 
-#include <functional>
-#include <memory>
-
-#include "src/common/status.h"
-#include "src/common/units.h"
-#include "src/sim/event_loop.h"
-#include "src/sim/task.h"
+#include <cstdint>
+#include <optional>
 
 namespace cxlpool::msg {
 
 class DoorbellCoalescer {
  public:
-  // Performs the actual ring (nt-store, MMIO write, ...). Must tolerate
-  // being invoked from a detached timer task: the coalescer guarantees it
-  // is never called after the coalescer is destroyed.
-  using RingFn = std::function<sim::Task<Status>(uint64_t value)>;
-
-  struct Options {
-    // Flush after this many offers. 1 = ring-through (no count batching).
-    uint32_t watermark = 1;
-    // Flush a partial batch this long after its first offer. 0 = no
-    // timer: only the watermark or an explicit Flush() rings. This is the
-    // hard latency bound on any offered value reaching the wire.
-    Nanos max_delay = 0;
-  };
-
   struct Stats {
     uint64_t offered = 0;
-    uint64_t rings = 0;             // ring actions actually issued
+    uint64_t rings = 0;             // values returned to ring
     uint64_t coalesced = 0;         // offers folded into another ring
     uint64_t watermark_flushes = 0;
-    uint64_t deadline_flushes = 0;
-    uint64_t forced_flushes = 0;    // explicit Flush() with pending state
+    uint64_t forced_flushes = 0;    // ForceFlush() with pending state
     uint64_t skipped_stale = 0;     // flushes dropped: value not beyond last rung
   };
 
-  DoorbellCoalescer(sim::EventLoop& loop, RingFn ring, Options options);
-  ~DoorbellCoalescer();
-  DoorbellCoalescer(const DoorbellCoalescer&) = delete;
-  DoorbellCoalescer& operator=(const DoorbellCoalescer&) = delete;
+  // Flush after `watermark` offers; 1 = ring-through (no count batching).
+  // Clamped to >= 1.
+  explicit DoorbellCoalescer(uint32_t watermark)
+      : watermark_(watermark == 0 ? 1 : watermark) {}
 
-  // Folds `value` into the pending batch (max) and flushes per policy.
-  // The returned status reflects a flush performed BY this offer; a
-  // deferred offer returns OK and any ring failure surfaces on the flush
-  // that carries it.
-  sim::Task<Status> Offer(uint64_t value);
+  // Folds `value` into the pending batch (max). Returns the value to ring
+  // when this offer reaches the watermark and advances past the last rung.
+  [[nodiscard]] std::optional<uint64_t> Offer(uint64_t value);
 
-  // Forces the pending value out now (e.g. before blocking on completions).
-  // No-op when nothing is pending.
-  sim::Task<Status> Flush();
+  // Forces the pending value out now (e.g. before blocking on
+  // completions). Returns nothing when no advancing value is pending.
+  [[nodiscard]] std::optional<uint64_t> ForceFlush();
 
   // Drops pending state and the last-rung watermark without ringing —
   // for rebind/reprogram, where the device's doorbell state restarted.
   void Reset();
 
-  const Stats& stats() const { return state_->stats; }
-  bool dirty() const { return state_->dirty; }
-  uint64_t pending_value() const { return state_->pending; }
-  uint64_t last_rung() const { return state_->last_rung; }
+  const Stats& stats() const { return stats_; }
+  bool dirty() const { return dirty_; }
+  uint64_t last_rung() const { return last_rung_; }
 
  private:
-  // Everything the detached deadline timer touches lives here, behind a
-  // shared_ptr: the timer outlasting the coalescer observes `closed` and
-  // exits instead of dangling.
-  struct State {
-    explicit State(sim::EventLoop& l) : loop(l) {}
-    sim::EventLoop& loop;
-    RingFn ring;
-    uint64_t pending = 0;
-    uint64_t last_rung = 0;
-    uint32_t since_flush = 0;  // offers folded into the pending batch
-    bool dirty = false;
-    bool timer_armed = false;
-    bool closed = false;
-    Stats stats;
-  };
+  std::optional<uint64_t> Take();
 
-  static sim::Task<Status> FlushNow(std::shared_ptr<State> s);
-  static sim::Task<> DeadlineFlush(std::shared_ptr<State> s, Nanos delay);
-
-  Options options_;
-  std::shared_ptr<State> state_;
+  uint32_t watermark_;
+  uint64_t pending_ = 0;
+  uint64_t last_rung_ = 0;
+  uint32_t since_flush_ = 0;  // offers folded into the pending batch
+  bool dirty_ = false;
+  Stats stats_;
 };
 
 }  // namespace cxlpool::msg

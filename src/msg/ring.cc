@@ -186,11 +186,8 @@ sim::Task<Result<uint32_t>> RingReceiver::LoadSlot(
   }
   win_valid_ = 0;
   uint64_t slot = index % config_.slots;
-  uint32_t window =
-      std::min(std::max<uint32_t>(1, cur_window_),
-               std::max<uint32_t>(1, config_.recv_window));
-  window = static_cast<uint32_t>(
-      std::min<uint64_t>(window, config_.slots - slot));  // clamp at wrap
+  uint32_t window = static_cast<uint32_t>(
+      std::min<uint64_t>(cur_window_, config_.slots - slot));  // clamp at wrap
   uint64_t slot_addr = config_.base + slot * kSlotSize;
   if (window_.size() < static_cast<size_t>(window) * kSlotSize) {
     window_.resize(static_cast<size_t>(window) * kSlotSize);
@@ -224,8 +221,7 @@ sim::Task<Result<uint32_t>> RingReceiver::LoadSlot(
   // the next load. A (near-)empty scan means we are caught up and paying
   // for unpublished lines — fall back to single-slot loads.
   if (valid == window) {
-    cur_window_ = std::min<uint32_t>(std::max<uint32_t>(1, cur_window_) * 2,
-                                     std::max<uint32_t>(1, config_.recv_window));
+    cur_window_ = std::min(cur_window_ * 2, kRecvWindowCap);
   } else if (valid <= 1) {
     cur_window_ = 1;
   }

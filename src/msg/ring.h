@@ -55,6 +55,18 @@ constexpr uint64_t RingFootprint(uint32_t slots) {
   return static_cast<uint64_t>(slots) * kSlotSize + kCachelineSize;
 }
 
+// Receiver burst-window cap: the most consecutive slots one fresh poll
+// invalidates+loads at once. A published slot cannot be overwritten until
+// the consumer cursor passes it, so the valid prefix of a window is
+// immutable and safe to consume from cache without re-invalidating per
+// message — this is what makes burst drain cheap (the CXL read pipelines
+// extra lines at per_line_pipelined instead of paying the full first-line
+// latency per slot). The actual window adapts between 1 and this cap: it
+// widens while scans come back fully valid (burst) and collapses to 1 when
+// the receiver is caught up, so ping-pong traffic never pays for
+// speculative lines.
+inline constexpr uint32_t kRecvWindowCap = 8;
+
 struct RingConfig {
   uint64_t base = 0;    // pool address of slot 0
   uint32_t slots = 64;  // must be a power of two
@@ -66,17 +78,6 @@ struct RingConfig {
   // kOverloaded after that much simulated time — the innermost
   // backpressure point of the whole forwarding path.
   Nanos full_wait = 0;
-  // Receiver burst-window CAP: the most consecutive slots one fresh poll
-  // invalidates+loads at once. A published slot cannot be overwritten
-  // until the consumer cursor passes it, so the valid prefix of a window
-  // is immutable and safe to consume from cache without re-invalidating
-  // per message — this is what makes burst drain cheap (the CXL read
-  // pipelines extra lines at per_line_pipelined instead of paying the
-  // full first-line latency per slot). The actual window adapts between 1
-  // and this cap: it widens while scans come back fully valid (burst) and
-  // collapses to 1 when the receiver is caught up, so ping-pong traffic
-  // never pays for speculative lines. 1 = legacy slot-at-a-time.
-  uint32_t recv_window = 8;
   // Directed fault injection (partitions / asymmetric / lossy links).
   // When set, every message the RECEIVER consumes is judged against the
   // plane's (src_host → dst_host) state AFTER its slots are reclaimed:
@@ -203,7 +204,7 @@ class RingReceiver {
   std::vector<std::byte> window_;
   uint64_t win_start_ = 0;
   uint32_t win_valid_ = 0;
-  // Adaptive window size in [1, recv_window]: doubles after a fully-valid
+  // Adaptive window size in [1, kRecvWindowCap]: doubles after a fully-valid
   // scan (a burst is in progress — wider loads amortize), shrinks back to
   // 1 after a scan that found at most one slot (ping-pong / idle, where
   // extra lines per load would only add pipelined-read latency).

@@ -57,12 +57,13 @@ inline constexpr Nanos kInheritCallDeadline = -1;
 class RpcClient {
  public:
   struct Options {
-    // Bound on calls queued behind the in-flight window (per client —
-    // i.e. per (client host, device) forwarding path). 0 = unbounded
-    // (legacy). Control-priority calls are exempt: they jump the queue
-    // and are never counted against or evicted by the bound.
+    // Bound on data-priority calls queued behind the in-flight window
+    // (per client — i.e. per (client host, device) forwarding path). A
+    // data call arriving at a full queue is refused with kOverloaded, so
+    // the caller learns at once and queued work is untouched. 0 =
+    // unbounded (legacy). Control-priority calls are exempt: they jump the
+    // queue and are never counted against the bound.
     uint32_t max_pending = 0;
-    OverflowPolicy overflow = OverflowPolicy::kRejectNew;
     // Calls allowed on the wire at once. 1 (default) = stop-and-wait:
     // exactly the pre-pipelining client, every existing ordering holds.
     // Larger values pipeline: the channel holds several requests while
@@ -106,8 +107,7 @@ class RpcClient {
                                                  Nanos op_deadline = kInheritCallDeadline);
 
   struct Stats {
-    uint64_t rejected = 0;           // kRejectNew refusals at the bound
-    uint64_t dropped_oldest = 0;     // queued calls evicted by kDropOldest
+    uint64_t rejected = 0;           // refusals at the max_pending bound
     uint64_t expired_in_queue = 0;   // deadline passed while waiting to send
     uint64_t expired_in_flight = 0;  // timed out awaiting a response
     uint64_t stale_responses = 0;    // responses matching no pending call
@@ -123,7 +123,6 @@ class RpcClient {
     explicit TurnWaiter(sim::EventLoop& loop) : event(loop) {}
     sim::Event event;
     uint8_t priority = kPriorityData;
-    bool dropped = false;
   };
 
   // A call that has been sent and is awaiting its response. Keyed by
@@ -139,7 +138,7 @@ class RpcClient {
   };
 
   // Inflight-window admission with priority: returns kOverloaded without
-  // a slot when the pending bound rejects or evicts this call; otherwise
+  // a slot when the pending bound rejects this call; otherwise
   // returns OK holding one inflight slot (release with ReleaseTurn).
   sim::Task<Status> AcquireTurn(uint8_t priority);
   void ReleaseTurn();

@@ -348,6 +348,23 @@ TEST_F(CxlPodTest, LandedPostedWriteLeavesNothingPending) {
             0);
 }
 
+TEST_F(CxlPodTest, PartialDmaWriteOverDirtyLineCountsTheLoss) {
+  auto seg = pod_.pool().Allocate(4096);
+  ASSERT_TRUE(seg.ok());
+  // A cached store dirties the line's first 4 bytes; a device DMA write
+  // from the same host over 4 other bytes of that line drops the whole
+  // cached copy, so the dirty bytes are lost and must be counted.
+  auto t = [](HostAdapter& h, uint64_t line) -> Task<> {
+    auto dirty = Fill(4, 1);
+    auto dma = Fill(4, 9);
+    CXLPOOL_CHECK_OK(co_await h.Store(line, dirty));
+    CXLPOOL_CHECK_OK(co_await h.DmaWrite(line + 32, dma));
+  };
+  RunBlocking(loop_, t(pod_.host(0), seg->base));
+  EXPECT_EQ(pod_.host(0).stats().lost_dirty_lines, 1u);
+  EXPECT_EQ(pod_.TotalLostDirtyLines(), 1u);
+}
+
 TEST_F(CxlPodTest, StaleCachedLoadNeedsInvalidate) {
   auto seg = pod_.pool().Allocate(4096);
   ASSERT_TRUE(seg.ok());

@@ -790,7 +790,6 @@ TEST_F(MsgTest, BoundedClientQueueRejectNew) {
   Spawn(server.Serve(stop));
   RpcClient::Options opts;
   opts.max_pending = 1;
-  opts.overflow = OverflowPolicy::kRejectNew;
   RpcClient client(c.end_a(), opts);
 
   std::vector<StatusCode> codes(4, StatusCode::kOk);
@@ -817,48 +816,6 @@ TEST_F(MsgTest, BoundedClientQueueRejectNew) {
   EXPECT_EQ(codes[2], StatusCode::kOverloaded);
   EXPECT_EQ(codes[3], StatusCode::kOk);
   EXPECT_EQ(client.stats().rejected, 1u);
-  EXPECT_EQ(client.stats().dropped_oldest, 0u);
-  stop.Stop();
-  loop_.RunFor(100 * kMicrosecond);
-}
-
-TEST_F(MsgTest, BoundedClientQueueDropOldest) {
-  auto ch = Channel::Create(pod_.pool(), pod_.host(0), pod_.host(1));
-  ASSERT_TRUE(ch.ok());
-  Channel& c = **ch;
-  sim::StopToken stop;
-  RpcServer server(c.end_b(),
-                   [this](uint16_t, std::span<const std::byte> req)
-                       -> Task<Result<std::vector<std::byte>>> {
-                     co_await sim::Delay(loop_, 5 * kMicrosecond);
-                     co_return std::vector<std::byte>(req.begin(), req.end());
-                   });
-  Spawn(server.Serve(stop));
-  RpcClient::Options opts;
-  opts.max_pending = 1;
-  opts.overflow = OverflowPolicy::kDropOldest;
-  RpcClient client(c.end_a(), opts);
-
-  std::vector<StatusCode> codes(3, StatusCode::kOk);
-  auto one = [&codes](RpcClient& cl, sim::EventLoop& loop, int i) -> Task<> {
-    auto r = co_await cl.Call(1, Msg("x"), loop.now() + 10 * kMillisecond);
-    codes[static_cast<size_t>(i)] =
-        r.ok() ? StatusCode::kOk : r.status().code();
-  };
-  auto drive = [&](RpcClient& cl, sim::EventLoop& loop) -> Task<> {
-    Spawn(one(cl, loop, 0));  // in flight
-    co_await sim::Delay(loop, 1 * kMicrosecond);
-    Spawn(one(cl, loop, 1));  // queued — the oldest waiter
-    Spawn(one(cl, loop, 2));  // evicts #1, takes its place
-    co_return;
-  };
-  RunBlocking(loop_, drive(client, loop_));
-  loop_.RunFor(kMillisecond);
-  EXPECT_EQ(codes[0], StatusCode::kOk);
-  EXPECT_EQ(codes[1], StatusCode::kOverloaded);  // freshest-first under load
-  EXPECT_EQ(codes[2], StatusCode::kOk);
-  EXPECT_EQ(client.stats().dropped_oldest, 1u);
-  EXPECT_EQ(client.stats().rejected, 0u);
   stop.Stop();
   loop_.RunFor(100 * kMicrosecond);
 }
@@ -1237,79 +1194,26 @@ TEST_F(MsgTest, DoorbellBackoffResetsAfterTimeout) {
 
 // --- DoorbellCoalescer ---
 
-// Records every issued ring with its sim timestamp.
-struct RingLog {
-  sim::EventLoop* loop;
-  std::vector<std::pair<uint64_t, Nanos>> rung;
-  Task<Status> Ring(uint64_t v) {
-    rung.emplace_back(v, loop->now());
-    co_return OkStatus();
-  }
-};
-
-TEST_F(MsgTest, CoalescerWatermarkBeatsDeadline) {
-  RingLog log{&loop_, {}};
-  DoorbellCoalescer co(
-      loop_, [&log](uint64_t v) { return log.Ring(v); },
-      {.watermark = 3, .max_delay = 5 * kMicrosecond});
-  auto t = [](DoorbellCoalescer& c) -> Task<> {
-    CXLPOOL_CHECK_OK(co_await c.Offer(1));
-    CXLPOOL_CHECK_OK(co_await c.Offer(2));
-    CXLPOOL_CHECK_OK(co_await c.Offer(3));  // watermark fires right here
-  };
-  RunBlocking(loop_, t(co));
-  ASSERT_EQ(log.rung.size(), 1u);
-  EXPECT_EQ(log.rung[0].first, 3u);          // the folded max, once
-  EXPECT_LT(log.rung[0].second, 5 * kMicrosecond);  // before the deadline
-  // The armed timer lapses on already-clean state: no second ring, no
-  // deadline flush counted.
-  loop_.RunFor(20 * kMicrosecond);
-  EXPECT_EQ(log.rung.size(), 1u);
+TEST_F(MsgTest, CoalescerWatermarkFoldsToOneRing) {
+  DoorbellCoalescer co(3);
+  EXPECT_EQ(co.Offer(1), std::nullopt);
+  EXPECT_EQ(co.Offer(2), std::nullopt);
+  EXPECT_EQ(co.Offer(3), 3u);  // watermark fires here: the folded max, once
+  EXPECT_FALSE(co.dirty());
+  EXPECT_EQ(co.ForceFlush(), std::nullopt);  // nothing left pending
   EXPECT_EQ(co.stats().watermark_flushes, 1u);
-  EXPECT_EQ(co.stats().deadline_flushes, 0u);
+  EXPECT_EQ(co.stats().forced_flushes, 0u);
   EXPECT_EQ(co.stats().rings, 1u);
   EXPECT_EQ(co.stats().coalesced, 2u);
 }
 
-TEST_F(MsgTest, CoalescerDeadlineBoundsTrickle) {
-  RingLog log{&loop_, {}};
-  DoorbellCoalescer co(
-      loop_, [&log](uint64_t v) { return log.Ring(v); },
-      {.watermark = 100, .max_delay = 5 * kMicrosecond});
-  auto t = [](DoorbellCoalescer& c, sim::EventLoop& loop) -> Task<> {
-    CXLPOOL_CHECK_OK(co_await c.Offer(1));  // arms the timer at t=0
-    co_await sim::Delay(loop, kMicrosecond);
-    CXLPOOL_CHECK_OK(co_await c.Offer(2));  // folded into the same batch
-  };
-  RunBlocking(loop_, t(co, loop_));
-  EXPECT_TRUE(co.dirty());
-  EXPECT_EQ(log.rung.size(), 0u);  // still pending: watermark far away
-  loop_.RunFor(20 * kMicrosecond);
-  ASSERT_EQ(log.rung.size(), 1u);
-  EXPECT_EQ(log.rung[0].first, 2u);  // max of the folded values
-  // max_delay is the hard latency bound, anchored at the FIRST offer.
-  EXPECT_EQ(log.rung[0].second, 5 * kMicrosecond);
-  EXPECT_EQ(co.stats().deadline_flushes, 1u);
-  EXPECT_EQ(co.stats().watermark_flushes, 0u);
-  EXPECT_EQ(co.stats().coalesced, 1u);
-  EXPECT_FALSE(co.dirty());
-}
-
 TEST_F(MsgTest, CoalescerRungValuesStayMonotone) {
-  RingLog log{&loop_, {}};
-  DoorbellCoalescer co(loop_, [&log](uint64_t v) { return log.Ring(v); },
-                       {.watermark = 1});
-  auto t = [](DoorbellCoalescer& c) -> Task<> {
-    CXLPOOL_CHECK_OK(co_await c.Offer(5));
-    CXLPOOL_CHECK_OK(co_await c.Offer(3));  // behind the last rung value
-    CXLPOOL_CHECK_OK(co_await c.Offer(7));
-  };
-  RunBlocking(loop_, t(co));
-  // The out-of-order offer is folded (max) and its flush skipped as stale:
-  // the wire only ever sees strictly increasing values.
-  ASSERT_EQ(log.rung.size(), 2u);
-  EXPECT_EQ(log.rung[0].first, 5u);
-  EXPECT_EQ(log.rung[1].first, 7u);
+  DoorbellCoalescer co(1);
+  EXPECT_EQ(co.Offer(5), 5u);
+  // Behind the last rung value: folded (max) and its flush skipped as
+  // stale, so the wire only ever sees strictly increasing values.
+  EXPECT_EQ(co.Offer(3), std::nullopt);
+  EXPECT_EQ(co.Offer(7), 7u);
   EXPECT_EQ(co.stats().skipped_stale, 1u);
   EXPECT_EQ(co.stats().rings, 2u);
   EXPECT_EQ(co.last_rung(), 7u);
@@ -1363,7 +1267,7 @@ TEST_F(MsgTest, MpscSubmitterFairnessUnderSaturation) {
   RingConfig rc = MakeRing();
   RingSender tx(pod_.host(0), rc);
   RingReceiver rx(pod_.host(1), rc);
-  MpscSubmitter sub(tx, {.watermark = 8});
+  MpscSubmitter sub(tx);
   constexpr uint32_t kProducers = 4;
   constexpr uint32_t kPer = 25;
 
@@ -1415,9 +1319,48 @@ TEST_F(MsgTest, MpscSubmitterFairnessUnderSaturation) {
   EXPECT_EQ(sub.stats().batched_frames,
             static_cast<uint64_t>(kProducers * kPer));
   EXPECT_GE(sub.stats().max_batch, 2u);   // real folding happened
-  EXPECT_LE(sub.stats().max_batch, 8u);   // and respected the watermark
+  EXPECT_LE(sub.stats().max_batch, MpscSubmitter::kMaxBatch);  // capped
   EXPECT_GE(sub.stats().handoffs, 1u);    // no head-of-line combiner
   EXPECT_GE(tx.stats().batch_sends, 1u);
+}
+
+TEST_F(MsgTest, MpscSubmitterControlJumpsStagedData) {
+  RingConfig rc = MakeRing();
+  RingSender tx(pod_.host(0), rc);
+  RingReceiver rx(pod_.host(1), rc);
+  MpscSubmitter sub(tx);
+
+  auto send = [](MpscSubmitter& s, std::string text, uint8_t prio) -> Task<> {
+    std::vector<std::byte> m = Msg(text);  // lives until Submit returns
+    CXLPOOL_CHECK_OK(co_await s.Submit(m, prio));
+  };
+  // The first sender becomes the drainer and suspends inside SendBatch on
+  // its CXL stores; everything spawned after it stages behind that batch.
+  Spawn(send(sub, "first", kPriorityData));
+  ASSERT_EQ(sub.staged(), 0u);
+  Spawn(send(sub, "d1", kPriorityData));
+  Spawn(send(sub, "d2", kPriorityData));
+  Spawn(send(sub, "d3", kPriorityData));
+  Spawn(send(sub, "ctl", kPriorityControl));
+  ASSERT_EQ(sub.staged(), 4u);
+  ASSERT_EQ(sub.stats().batches, 0u);  // the first batch is still in flight
+
+  auto drain = [](RingReceiver& r,
+                  sim::EventLoop& loop) -> Task<std::vector<std::string>> {
+    std::vector<std::string> got;
+    for (int i = 0; i < 5; ++i) {
+      std::vector<std::byte> m;
+      CXLPOOL_CHECK_OK(co_await r.Recv(&m, loop.now() + kMillisecond));
+      got.push_back(AsString(m));
+    }
+    co_return got;
+  };
+  std::vector<std::string> got = RunBlocking(loop_, drain(rx, loop_));
+  // The control frame was staged last but reaches the receiver ahead of
+  // the three data frames staged before it.
+  EXPECT_EQ(got, (std::vector<std::string>{"first", "ctl", "d1", "d2", "d3"}));
+  EXPECT_EQ(sub.stats().batches, 2u);
+  EXPECT_EQ(sub.stats().handoffs, 1u);  // drainer role passed to "ctl"
 }
 
 // --- Pipelined RPC client ---

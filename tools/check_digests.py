@@ -8,8 +8,8 @@ simulation the same way in both runs. This script reads the stdout of each
 run named in the pin file, run with the pinned command, and fails unless
 every pinned value equals the one in the log (soaks: digest and executed
 events; perfbench workloads: traced spans, executed events and attempted
-operations), so any cross-commit change in event order, timing or model
-output shows up.
+operations; the message-layer benches: executed events), so any
+cross-commit change in event order, timing or model output shows up.
 
 A deliberate model change re-pins the values in the file (and says so in
 the change log); an optimization must leave them untouched. The pins are
@@ -21,8 +21,13 @@ Usage:
   build/bench/chaos_soak --short | tee chaos_soak.log
   python3 perfbench/run.py --workload udp_echo --seed 1 --seconds 1 --trace 1 | tee udp_echo.log
   python3 perfbench/run.py --workload kv_hot --seed 1 --seconds 1 --trace 1 | tee kv_hot.log
+  build/bench/fig4_msg_latency | tee fig4_msg_latency.log
+  build/bench/overload_soak --short | tee overload_soak.log
+  build/bench/mmio_forwarding --producers 8 | tee mmio_forwarding_p8.log
   tools/check_digests.py PINS.json kv_soak=kv_soak.log chaos_soak=chaos_soak.log
-      udp_echo=udp_echo.log kv_hot=kv_hot.log   (one command line)
+      udp_echo=udp_echo.log kv_hot=kv_hot.log
+      fig4_msg_latency=fig4_msg_latency.log overload_soak=overload_soak.log
+      mmio_forwarding_p8=mmio_forwarding_p8.log   (one command line)
 
 Exit 0 = every run matches, 1 = mismatch or missing log, 2 = usage error.
 Stdlib only; runs on the bare CI runner.
